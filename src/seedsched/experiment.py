@@ -27,10 +27,10 @@ from .simulator import (
     BernoulliArmsEnv,
     BernoulliTrialRunner,
     CfgTarget,
-    Edge,
     FuzzCampaignRunner,
     TrialLog,
     load_target,
+    parse_edges,
 )
 
 __all__ = [
@@ -129,6 +129,11 @@ def _require(condition: bool, message: str) -> None:
         raise ConfigError(message)
 
 
+def _is_int(value: Any) -> bool:
+    # JSON true/false decode to bool, which Python counts as an int
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _parse_environment(env: Any, base_dir: Path) -> tuple[tuple[float, ...] | None, CfgTarget | None]:
     _require(isinstance(env, dict), "'environment' must be an object")
     keys = set(env)
@@ -138,7 +143,7 @@ def _parse_environment(env: Any, base_dir: Path) -> tuple[tuple[float, ...] | No
             isinstance(arms, list) and arms and all(isinstance(a, (int, float)) for a in arms),
             "'environment.arms' must be a non-empty list of numbers",
         )
-        _require(all(0.0 <= float(a) <= 1.0 for a in arms), "arm probabilities must lie in [0, 1]")
+        _require(all(0.0 < float(a) <= 1.0 for a in arms), "arm probabilities must lie in (0, 1]")
         return tuple(float(a) for a in arms), None
     if keys == {"target"}:
         _require(isinstance(env["target"], str), "'environment.target' must be a path string")
@@ -147,17 +152,7 @@ def _parse_environment(env: Any, base_dir: Path) -> tuple[tuple[float, ...] | No
             path = base_dir / path
         return None, load_target(path)
     if keys == {"edges"}:
-        edges = tuple(
-            Edge(
-                id=int(e["id"]),
-                prereqs=frozenset(int(x) for x in e["prereqs"]),
-                p=float(e["p"]),
-                time_range=tuple(e["time_range"]),
-                size_range=tuple(e["size_range"]),
-            )
-            for e in env["edges"]
-        )
-        return None, CfgTarget(edges)
+        return None, parse_edges(env["edges"])
     raise ConfigError(
         "'environment' must contain exactly one of 'arms', 'target', or 'edges'"
     )
@@ -187,17 +182,17 @@ def parse_config(raw: Any, base_dir: Path | str = ".") -> ExperimentConfig:
 
     trials = raw["trials"]
     steps = raw["steps"]
-    _require(isinstance(trials, int) and trials >= 1, "'trials' must be an integer >= 1")
-    _require(isinstance(steps, int) and steps >= 1, "'steps' must be an integer >= 1")
+    _require(_is_int(trials) and trials >= 1, "'trials' must be an integer >= 1")
+    _require(_is_int(steps) and steps >= 1, "'steps' must be an integer >= 1")
 
     base_seed = raw.get("base_seed", 0)
-    _require(isinstance(base_seed, int), "'base_seed' must be an integer")
+    _require(_is_int(base_seed), "'base_seed' must be an integer")
 
     output_dir = raw.get("output_dir", "results")
     _require(isinstance(output_dir, str) and output_dir, "'output_dir' must be a path string")
 
     interval = raw.get("sampling_interval", 100)
-    _require(isinstance(interval, int) and interval >= 1, "'sampling_interval' must be >= 1")
+    _require(_is_int(interval) and interval >= 1, "'sampling_interval' must be an integer >= 1")
 
     policy = raw.get("interesting_policy", "new-feature")
     _require(policy in _POLICIES, f"'interesting_policy' must be one of {_POLICIES}")
@@ -437,9 +432,14 @@ def read_snapshot(path: str | Path) -> dict[str, Any]:
 
 def _resume_task(args: tuple) -> tuple[str, int, TrialLog]:
     config, entry = args
-    name, trial, state = entry["scheduler"], entry["trial"], entry["state"]
-    runner = _build_runner(config, name, trial)
-    runner.load_state(state)
+    try:
+        name, trial, state = entry["scheduler"], entry["trial"], entry["state"]
+        runner = _build_runner(config, name, trial)
+        runner.load_state(state)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SnapshotError(
+            f"snapshot holds a malformed runner state ({type(exc).__name__}: {exc})"
+        ) from exc
     runner.run_to()
     return name, trial, runner.take_log(trial)
 
@@ -447,8 +447,14 @@ def _resume_task(args: tuple) -> tuple[str, int, TrialLog]:
 def resume_experiment(snapshot_path: str | Path, jobs: int = 1) -> ExperimentResult:
     """Resume a snapshotted campaign; writes suffix logs for each trial."""
     payload = read_snapshot(snapshot_path)
-    config = parse_config(payload["config"], Path(snapshot_path).parent)
-    tasks = [(config, entry) for entry in payload["runners"]]
+    try:
+        raw_config, entries = payload["config"], list(payload["runners"])
+    except (KeyError, TypeError) as exc:
+        raise SnapshotError(
+            f"snapshot payload is malformed ({type(exc).__name__}: {exc})"
+        ) from exc
+    config = parse_config(raw_config, Path(snapshot_path).parent)
+    tasks = [(config, entry) for entry in entries]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(_resume_task, tasks))

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Any
 
@@ -39,6 +40,7 @@ __all__ = [
     "Edge",
     "CfgTarget",
     "load_target",
+    "parse_edges",
     "TrialLog",
     "BernoulliTrialRunner",
     "FuzzCampaignRunner",
@@ -69,8 +71,8 @@ class BernoulliArmsEnv:
         object.__setattr__(self, "theta_star", tuple(float(t) for t in self.theta_star))
         if not self.theta_star:
             raise ConfigError("at least one arm is required")
-        if any(not 0.0 <= t <= 1.0 for t in self.theta_star):
-            raise ConfigError("arm probabilities must lie in [0, 1]")
+        if any(not 0.0 < t <= 1.0 for t in self.theta_star):
+            raise ConfigError("arm probabilities must lie in (0, 1]")
 
     @property
     def k_size(self) -> int:
@@ -139,9 +141,21 @@ class CfgTarget:
     def k_size(self) -> int:
         return len(self.edges)
 
-    @property
+    @cached_property
     def roots(self) -> tuple[Edge, ...]:
         return tuple(e for e in self.edges if not e.prereqs)
+
+    @cached_property
+    def children(self) -> tuple[tuple[int, ...], ...]:
+        """``children[f]``: ids of the edges that list f as a prerequisite.
+
+        Built on first use, so validating a target does not pay for it.
+        """
+        kids: list[list[int]] = [[] for _ in self.edges]
+        for e in self.edges:
+            for f in e.prereqs:
+                kids[f].append(e.id)
+        return tuple(tuple(k) for k in kids)
 
     @classmethod
     def chain(cls, n_edges: int, p: float) -> "CfgTarget":
@@ -174,8 +188,17 @@ def load_target(path: str | Path) -> CfgTarget:
         raise ConfigError(f"cannot read target file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"target file is not valid JSON: {exc}") from exc
+    return parse_edges(raw)
+
+
+def parse_edges(raw: Any) -> CfgTarget:
+    """Build a target from a decoded JSON list of edge objects.
+
+    ``id`` and ``p`` are required; ``prereqs``, ``time_range`` and
+    ``size_range`` default as in :class:`Edge`.  Unknown keys are rejected.
+    """
     if not isinstance(raw, list):
-        raise ConfigError("target file must hold a JSON list of edges")
+        raise ConfigError("the target must be a JSON list of edges")
     edges = []
     allowed = {"id", "prereqs", "p", "time_range", "size_range"}
     for i, item in enumerate(raw):
@@ -184,6 +207,9 @@ def load_target(path: str | Path) -> CfgTarget:
         unknown = set(item) - allowed
         if unknown:
             raise ConfigError(f"edge #{i}: unknown keys {sorted(unknown)}")
+        missing = {"id", "p"} - set(item)
+        if missing:
+            raise ConfigError(f"edge #{i}: missing keys {sorted(missing)}")
         try:
             edges.append(
                 Edge(
@@ -194,7 +220,7 @@ def load_target(path: str | Path) -> CfgTarget:
                     size_range=tuple(item.get("size_range", DEFAULT_SIZE_RANGE)),
                 )
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"edge #{i} is malformed: {exc}") from exc
     return CfgTarget(tuple(edges))
 
@@ -397,6 +423,11 @@ class FuzzCampaignRunner(_TrialRunner):
         self.policy = policy
         self.discovered: set[int] = set()
         self.synth_count = 0
+        # feature set -> undiscovered edges whose prerequisites it covers;
+        # derived from `discovered`, so never snapshotted
+        self._candidates: dict[frozenset[int], list[Edge]] = {}
+        # one buffer serves as the coverage map of every observation
+        self._coverage = np.zeros(target.k_size, dtype=np.int64)
         self._bootstrap()
 
     def _synth(self, features: frozenset[int], source: Edge, id_prefix: str) -> InputRecord:
@@ -412,9 +443,12 @@ class FuzzCampaignRunner(_TrialRunner):
         return rec
 
     def _observe(self, rec: InputRecord) -> bool:
-        cov = _one_hot(self.target.k_size, rec.features)
+        cov = self._coverage
+        hit = np.fromiter(rec.features, np.intp, len(rec.features))
+        cov[hit] = 1
         interesting = classify_interesting(self.scheduler.global_coverage, cov, self.policy)
         self.scheduler.observe(rec, cov, interesting)
+        cov[hit] = 0
         return interesting
 
     def _bootstrap(self) -> None:
@@ -424,16 +458,39 @@ class FuzzCampaignRunner(_TrialRunner):
             self._observe(rec)
             self.discovered.add(root.id)
 
+    def _unlockable(self, features: frozenset[int]) -> list[Edge]:
+        """Undiscovered edges whose prerequisites lie in ``features``, in id order.
+
+        Only roots and children of a feature in the set can qualify, so the
+        list is built from those once per feature set and kept.  Edges
+        discovered since are pruned from it on each later use; `discovered`
+        only grows within a run, so the kept list never misses an edge.
+        """
+        discovered = self.discovered
+        cands = self._candidates.get(features)
+        if cands is None:
+            target = self.target
+            children = target.children
+            ids = {e.id for e in target.roots}.union(*[children[f] for f in features])
+            live = [
+                e
+                for e in map(target.edges.__getitem__, sorted(ids - discovered))
+                if e.prereqs <= features
+            ]
+        else:
+            live = [e for e in cands if e.id not in discovered]
+        self._candidates[features] = live
+        return live
+
     def _advance(self) -> None:
         iid = self.scheduler.next()
         parent = self.scheduler.corpus[iid]
-        unlocked = [
-            e
-            for e in self.target.edges
-            if e.id not in self.discovered
-            and e.prereqs <= parent.features
-            and self.env_rng.random() < e.p
-        ]
+        live = self._unlockable(parent.features)
+        unlocked = []
+        if live:
+            # one uniform per candidate, in id order, drawn in one call
+            draws = self.env_rng.random(len(live)).tolist()
+            unlocked = [e for e, u in zip(live, draws) if u < e.p]
         if unlocked:
             features = parent.features | {e.id for e in unlocked}
             child = self._synth(features, unlocked[0], "input")
@@ -455,6 +512,7 @@ class FuzzCampaignRunner(_TrialRunner):
         self.discovered = set(state["discovered"])
         self.synth_count = state["synth_count"]
         self.policy = state["policy"]
+        self._candidates = {}
 
 
 def run_bandit_trial(

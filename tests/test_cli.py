@@ -105,3 +105,30 @@ def test_resume_corrupt_snapshot_exits_3(tmp_path, capsys):
     snap.write_text(json.dumps(body))
     assert main(["resume", "--snapshot", str(snap)]) == 3
     assert "checksum" in capsys.readouterr().err
+
+
+def test_simulate_inline_edges_without_optional_keys(tmp_path, capsys):
+    edges = [{"id": 0, "p": 1.0}, {"id": 1, "prereqs": [0], "p": 0.5}]
+    cfg = _write_config(tmp_path, environment={"edges": edges}, steps=5)
+    assert main(["simulate", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    assert len((tmp_path / "out" / "sample-trial0000.csv").read_text().splitlines()) == 6
+
+
+def test_simulate_inline_edge_unknown_key_exits_2(tmp_path, capsys):
+    cfg = _write_config(tmp_path, environment={"edges": [{"id": 0, "p": 1.0, "bogus": 1}]})
+    assert main(["simulate", "--config", str(cfg)]) == 2
+    assert "bogus" in capsys.readouterr().err
+
+
+def test_resume_malformed_runner_state_exits_3(tmp_path, capsys):
+    from seedsched.experiment import read_snapshot, write_snapshot
+
+    cfg = _write_config(tmp_path, steps=20)
+    assert main(["simulate", "--config", str(cfg), "--snapshot-at", "5"]) == 0
+    snap = tmp_path / "out" / "snapshot-step5.json"
+    payload = read_snapshot(snap)
+    del payload["runners"][0]["state"]["scheduler"]["alpha"]
+    write_snapshot(snap, payload)  # the checksum still matches
+    assert main(["resume", "--snapshot", str(snap)]) == 3
+    assert "alpha" in capsys.readouterr().err

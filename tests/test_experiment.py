@@ -79,6 +79,41 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config(_base_config(".", **{field: value}))
 
+    @pytest.mark.parametrize("field", ["trials", "steps", "base_seed", "sampling_interval"])
+    def test_booleans_are_not_integers(self, field):
+        with pytest.raises(ConfigError, match=field):
+            parse_config(_base_config(".", **{field: True}))
+
+    def test_zero_arm_probability_rejected(self):
+        with pytest.raises(ConfigError, match="arm"):
+            parse_config(_base_config(".", environment={"arms": [0.0, 0.5]}))
+
+    def test_inline_edges_take_the_target_file_defaults(self, tmp_path):
+        edges = [{"id": 0, "p": 1.0}, {"id": 1, "prereqs": [0], "p": 0.5}]
+        (tmp_path / "target.json").write_text(json.dumps(edges))
+        from_file = parse_config(
+            _base_config(".", environment={"target": "target.json"}), tmp_path
+        )
+        inline = parse_config(_base_config(".", environment={"edges": edges}))
+        assert inline.target == from_file.target
+        assert inline.target.edges[0].prereqs == frozenset()
+        assert inline.target.edges[1].time_range == (1.0, 10.0)
+        assert inline.target.edges[1].size_range == (10, 1000)
+
+    @pytest.mark.parametrize(
+        "edges,needle",
+        [
+            ([{"id": 0, "p": 1.0, "bogus": 1}], "bogus"),
+            ([{"id": 0}], "edge #0"),
+            ([{"id": 0, "p": 1.0, "time_range": 3}], "edge #0"),
+            (["edge"], "edge #0"),
+            ({"id": 0, "p": 1.0}, "list"),
+        ],
+    )
+    def test_malformed_inline_edges_are_config_errors(self, edges, needle):
+        with pytest.raises(ConfigError, match=needle):
+            parse_config(_base_config(".", environment={"edges": edges}))
+
     def test_bad_policy(self):
         with pytest.raises(ConfigError):
             parse_config(_base_config(".", interesting_policy="everything"))
@@ -223,6 +258,40 @@ class TestSnapshotResume:
             .splitlines()
         )
         assert suffix[1:] == full[21:]
+
+    @pytest.mark.parametrize(
+        "break_entry",
+        [
+            lambda e: e["state"]["scheduler"].pop("alpha"),
+            lambda e: e["state"].pop("discovered"),
+            lambda e: e["state"]["scheduler"].__setitem__("corpus", 7),
+            lambda e: e.pop("state"),
+        ],
+        ids=["no-alpha", "no-discovered", "corpus-not-a-list", "no-state"],
+    )
+    def test_malformed_runner_state_is_snapshot_error(self, tmp_path, break_entry):
+        cfg = parse_config(
+            _base_config(
+                tmp_path / "out",
+                environment={"edges": [{"id": 0, "p": 1.0}, {"id": 1, "prereqs": [0], "p": 0.3}]},
+                schedulers=["rare-plus"],
+                trials=1,
+                steps=20,
+            )
+        )
+        result = run_experiment(cfg, snapshot_at=10)
+        payload = read_snapshot(result.snapshot_path)
+        break_entry(payload["runners"][0])
+        write_snapshot(result.snapshot_path, payload)  # a valid checksum
+        with pytest.raises(SnapshotError, match="runner state"):
+            resume_experiment(result.snapshot_path)
+
+    @pytest.mark.parametrize("payload", [[], {"config": {}}, {"config": {}, "runners": 3}])
+    def test_malformed_payload_is_snapshot_error(self, tmp_path, payload):
+        path = tmp_path / "snap.json"
+        write_snapshot(path, payload)
+        with pytest.raises(SnapshotError, match="payload"):
+            resume_experiment(path)
 
     def test_checksum_detects_corruption(self, tmp_path):
         path = tmp_path / "snap.json"

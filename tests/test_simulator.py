@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seedsched import (
     BernoulliArmsEnv,
@@ -19,6 +21,7 @@ from seedsched import (
     run_bandit_trial,
     run_fuzz_campaign,
 )
+from seedsched.coverage import classify_interesting
 from seedsched.simulator import (
     BRANCH_DEMO_INPUTS,
     BRANCH_DEMO_NODES,
@@ -27,12 +30,62 @@ from seedsched.simulator import (
 )
 
 
+class FullScanRunner(FuzzCampaignRunner):
+    """Reference fuzz runner: every step scans all K edges, drawing one
+    uniform per undiscovered edge whose prerequisites the parent covers, in
+    id order, and observes through a fresh one-hot coverage map."""
+
+    def _observe(self, rec):
+        cov = np.zeros(self.target.k_size, dtype=np.int64)
+        cov[list(rec.features)] = 1
+        interesting = classify_interesting(self.scheduler.global_coverage, cov, self.policy)
+        self.scheduler.observe(rec, cov, interesting)
+        return interesting
+
+    def _advance(self):
+        parent = self.scheduler.corpus[self.scheduler.next()]
+        unlocked = [
+            e
+            for e in self.target.edges
+            if e.id not in self.discovered
+            and e.prereqs <= parent.features
+            and self.env_rng.random() < e.p
+        ]
+        if unlocked:
+            features = parent.features | {e.id for e in unlocked}
+            interesting = self._observe(self._synth(features, unlocked[0], "input"))
+            self.discovered.update(e.id for e in unlocked)
+        else:
+            interesting = self._observe(parent)
+        self._row(self.scheduler.last_action, interesting, 0.0)
+
+
+@st.composite
+def dags(draw):
+    """Random targets: a few roots, the rest with one to three earlier
+    edges as prerequisites, discovery probabilities in (0, 1]."""
+    n = draw(st.integers(1, 24))
+    p = st.floats(0.0, 1.0, exclude_min=True)
+    edges = []
+    for i in range(n):
+        prereqs: list[int] = []
+        if i and draw(st.integers(0, 4)):
+            k = draw(st.integers(1, min(3, i)))
+            prereqs = draw(st.lists(st.integers(0, i - 1), min_size=k, max_size=k, unique=True))
+        edges.append(Edge(i, frozenset(prereqs), draw(p)))
+    return CfgTarget(tuple(edges))
+
+
 class TestEnvValidation:
     def test_arms_probability_range(self):
         with pytest.raises(ConfigError):
             BernoulliArmsEnv((0.5, 1.2))
         with pytest.raises(ConfigError):
             BernoulliArmsEnv(())
+
+    def test_arms_reject_zero_probability(self):
+        with pytest.raises(ConfigError, match=r"\(0, 1\]"):
+            BernoulliArmsEnv((0.0, 0.5))
 
     def test_edge_probability_range(self):
         with pytest.raises(ConfigError):
@@ -198,6 +251,27 @@ class TestFuzzRunner:
         )
         assert log.covered[-1] == 4
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        target=dags(),
+        name=st.sampled_from(["sample", "greedy", "uniform"]),
+        policy=st.sampled_from(["new-feature", "new-bucket"]),
+        steps=st.integers(1, 60),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_full_edge_scan(self, target, name, policy, steps, seed):
+        k = target.k_size
+        fast = FuzzCampaignRunner(target, make_scheduler(name, k, seed), steps, seed, policy)
+        slow = FullScanRunner(target, make_scheduler(name, k, seed), steps, seed, policy)
+        fast.run_to()
+        slow.run_to()
+        a, b = fast.take_log(), slow.take_log()
+        for column in ("steps", "actions", "interesting", "regret", "covered",
+                       "corpus_size", "select_ops", "update_ops"):
+            assert getattr(a, column).tolist() == getattr(b, column).tolist(), column
+        assert fast.discovered == slow.discovered
+        assert fast.env_rng.state_dict() == slow.env_rng.state_dict()
+
     def test_same_seed_reproduces(self):
         target = CfgTarget.chain(8, 0.2)
         a = run_fuzz_campaign(target, make_scheduler("rare-plus", 8, 7), 150, 7)
@@ -242,6 +316,29 @@ class TestRunnerSnapshots:
         suffix = second.take_log()
         assert suffix.actions.tolist() == full.actions[40:].tolist()
         assert suffix.covered.tolist() == full.covered[40:].tolist()
+
+    def test_reloading_an_earlier_state_into_the_same_runner(self):
+        # the runner has discovered more edges by step 120 than at step 60;
+        # loading the step-60 state must forget whatever it derived since
+        target = CfgTarget.chain(40, 0.15)
+
+        straight = FuzzCampaignRunner(target, make_scheduler("rare-plus", 40, 5), 120, 5)
+        straight.run_to()
+        full = straight.take_log()
+
+        runner = FuzzCampaignRunner(target, make_scheduler("rare-plus", 40, 5), 120, 5)
+        runner.run_to(60)
+        state = json.loads(json.dumps(runner.state_dict()))
+        runner.run_to()
+        assert len(runner.discovered) > len(state["discovered"])
+        runner.take_log()
+        runner.load_state(state)
+        runner.run_to()
+        suffix = runner.take_log()
+        assert suffix.steps.tolist() == list(range(61, 121))
+        assert suffix.actions.tolist() == full.actions[60:].tolist()
+        assert suffix.interesting.tolist() == full.interesting[60:].tolist()
+        assert suffix.covered.tolist() == full.covered[60:].tolist()
 
     def test_kind_mismatch_rejected(self):
         env = BernoulliArmsEnv((0.5,))
