@@ -8,17 +8,13 @@ round out the library.
 """
 
 from .bandit import (
-    POSTERIOR_FORMAT_TAG,
     PosteriorState,
     Variant,
     compute_pbar,
     compute_reward,
     expected_phi,
     init_posterior,
-    load_posterior,
-    sample_psi,
     sample_theta,
-    save_posterior,
     select_action,
     update_posterior,
 )
@@ -30,7 +26,6 @@ from .coverage import (
     absorb,
     bucketize,
     classify_interesting,
-    feature_rareness,
     selectable_features,
     update_favored,
 )
@@ -80,17 +75,13 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # bandit
-    "POSTERIOR_FORMAT_TAG",
     "PosteriorState",
     "Variant",
     "compute_pbar",
     "compute_reward",
     "expected_phi",
     "init_posterior",
-    "load_posterior",
-    "sample_psi",
     "sample_theta",
-    "save_posterior",
     "select_action",
     "update_posterior",
     # coverage
@@ -101,7 +92,6 @@ __all__ = [
     "absorb",
     "bucketize",
     "classify_interesting",
-    "feature_rareness",
     "selectable_features",
     "update_favored",
     # errors

@@ -23,11 +23,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyCorpusError, SnapshotError
+from .errors import DimensionMismatch, EmptyCorpusError
 from .rng import SeededRng
 
 __all__ = [
@@ -37,16 +36,10 @@ __all__ = [
     "compute_reward",
     "update_posterior",
     "sample_theta",
-    "sample_psi",
     "expected_phi",
     "compute_pbar",
     "select_action",
-    "save_posterior",
-    "load_posterior",
 ]
-
-POSTERIOR_FORMAT_TAG = "seedsched-posterior-v1"
-
 
 class Variant(str, enum.Enum):
     """Selection rule used by the adaptive scheduler."""
@@ -129,11 +122,6 @@ def sample_theta(state: PosteriorState, rng: SeededRng) -> np.ndarray:
     return rng.beta(state.alpha, state.beta)
 
 
-def sample_psi(state: PosteriorState, rng: SeededRng) -> np.ndarray:
-    """One rareness draw psi_k ~ Beta(alpha_k + beta_k, alpha_k**2) per feature."""
-    return rng.beta(state.alpha + state.beta, state.alpha**2)
-
-
 def expected_phi(state: PosteriorState) -> np.ndarray:
     """Deterministic rareness factor, the mean of the psi distribution."""
     total = state.alpha + state.beta
@@ -174,10 +162,9 @@ def select_action(
     elif variant is Variant.RARE_PLUS:
         scores = expected_phi(state) * sample_theta(state, rng)
     else:
-        # theta and psi come from one fused draw; same distributions as
-        # sample_theta/sample_psi but a single rejection pass per step.
-        # a = (alpha, alpha + beta) and b = (beta, alpha**2) are views
-        # into one buffer.
+        # theta ~ Beta(alpha, beta) and psi ~ Beta(alpha + beta, alpha**2)
+        # come from one draw; a = (alpha, alpha + beta) and
+        # b = (beta, alpha**2) are views into one buffer.
         alpha, beta = state.alpha, state.beta
         ab = np.concatenate((alpha, alpha + beta, beta, alpha * alpha))
         draws = rng.beta(ab[: 2 * k], ab[2 * k :])
@@ -185,33 +172,3 @@ def select_action(
     if n_selectable < k:
         scores = np.where(mask, scores, -np.inf)
     return int(scores.argmax())
-
-
-# ----------------------------------------------------------------------
-# posterior snapshots
-
-def save_posterior(state: PosteriorState, path: str | Path) -> None:
-    """Write (k_size, alpha, beta) as tagged text; floats round-trip exactly."""
-    lines = [POSTERIOR_FORMAT_TAG, str(state.k_size)]
-    lines.append(" ".join(repr(float(v)) for v in state.alpha))
-    lines.append(" ".join(repr(float(v)) for v in state.beta))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
-
-
-def load_posterior(path: str | Path) -> PosteriorState:
-    """Read a posterior snapshot written by :func:`save_posterior`."""
-    try:
-        lines = Path(path).read_text(encoding="ascii").splitlines()
-    except OSError as exc:
-        raise SnapshotError(f"cannot read posterior snapshot: {exc}") from exc
-    if len(lines) != 4 or lines[0] != POSTERIOR_FORMAT_TAG:
-        raise SnapshotError("not a recognized posterior snapshot")
-    try:
-        k_size = int(lines[1])
-        alpha = np.array([float(v) for v in lines[2].split()], dtype=np.float64)
-        beta = np.array([float(v) for v in lines[3].split()], dtype=np.float64)
-    except ValueError as exc:
-        raise SnapshotError(f"malformed posterior snapshot: {exc}") from exc
-    if alpha.size != k_size or beta.size != k_size:
-        raise SnapshotError("posterior snapshot length disagrees with its header")
-    return PosteriorState(alpha, beta)

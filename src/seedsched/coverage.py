@@ -28,19 +28,21 @@ from .errors import DimensionMismatch
 
 __all__ = [
     "BUCKET_LABELS",
+    "INTERESTING_POLICIES",
     "bucketize",
     "GlobalCoverage",
     "InputRecord",
     "FavoredTable",
     "classify_interesting",
     "absorb",
-    "feature_rareness",
     "update_favored",
     "selectable_features",
 ]
 
 # lower bound of each bucket class, in increasing order
 BUCKET_LABELS = (1, 2, 3, 4, 8, 16, 32, 128)
+
+INTERESTING_POLICIES = ("new-feature", "new-bucket")
 
 
 def bucketize(hits: int) -> int:
@@ -153,14 +155,6 @@ def absorb(global_cov: GlobalCoverage, coverage: np.ndarray) -> GlobalCoverage:
     for k, hits in zip(hit.tolist(), cov[hit].tolist()):
         seen[k].add(bucketize(int(hits)))
     return global_cov
-
-
-def feature_rareness(global_cov: GlobalCoverage) -> np.ndarray:
-    """1 / total_hits per feature; unhit features get an +inf sentinel."""
-    out = np.full(global_cov.k_size, np.inf)
-    hit = global_cov.total_hits > 0
-    out[hit] = 1.0 / global_cov.total_hits[hit]
-    return out
 
 
 def update_favored(table: FavoredTable, record: InputRecord) -> FavoredTable:

@@ -20,6 +20,7 @@ from typing import Any
 
 import numpy as np
 
+from .coverage import INTERESTING_POLICIES
 from .errors import ConfigError, SnapshotError
 from .metrics import auc, bootstrap_ci, coverage_timeline, mann_whitney_u
 from .schedulers import SCHEDULER_NAMES, make_scheduler
@@ -29,6 +30,7 @@ from .simulator import (
     CfgTarget,
     FuzzCampaignRunner,
     TrialLog,
+    _is_int,
     load_target,
     parse_edges,
 )
@@ -72,7 +74,7 @@ SUMMARY_COLUMNS = (
     "mwu_p_vs_baseline",
 )
 
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 
 _CONFIG_KEYS = {
     "environment",
@@ -84,8 +86,6 @@ _CONFIG_KEYS = {
     "sampling_interval",
     "interesting_policy",
 }
-
-_POLICIES = ("new-feature", "new-bucket")
 
 
 @dataclass(frozen=True)
@@ -127,11 +127,6 @@ class ExperimentConfig:
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise ConfigError(message)
-
-
-def _is_int(value: Any) -> bool:
-    # JSON true/false decode to bool, which Python counts as an int
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _parse_environment(env: Any, base_dir: Path) -> tuple[tuple[float, ...] | None, CfgTarget | None]:
@@ -195,7 +190,10 @@ def parse_config(raw: Any, base_dir: Path | str = ".") -> ExperimentConfig:
     _require(_is_int(interval) and interval >= 1, "'sampling_interval' must be an integer >= 1")
 
     policy = raw.get("interesting_policy", "new-feature")
-    _require(policy in _POLICIES, f"'interesting_policy' must be one of {_POLICIES}")
+    _require(
+        policy in INTERESTING_POLICIES,
+        f"'interesting_policy' must be one of {INTERESTING_POLICIES}",
+    )
 
     return ExperimentConfig(
         arms=arms,

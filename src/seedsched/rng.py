@@ -2,11 +2,9 @@
 
 Everything stochastic in this package flows through :class:`SeededRng` so
 that a (seed, stream) pair pins down the full trajectory of a run.  Beta
-draws are produced as a ratio of two gamma draws, G1 / (G1 + G2), with the
-gamma draws generated by the Marsaglia-Tsang rejection method (and the
-standard U**(1/a) boost for shapes below one).  The ratio form stays
-numerically sound for the very lopsided shape pairs the schedulers need,
-where the second shape can reach ~1e12.
+draws come from numpy's ``Generator.beta`` on the same PCG64 generator,
+which stays numerically sound for the very lopsided shape pairs the
+schedulers need, where the second shape can reach ~1e12.
 """
 
 from __future__ import annotations
@@ -18,15 +16,8 @@ import numpy as np
 __all__ = ["SeededRng"]
 
 
-def _mt_full_accept(x: np.ndarray, u: np.ndarray, v: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Squeeze-failed acceptance test: v > 0 and ln u < x^2/2 + d(1 - v + ln v)."""
-    pos = v > 0.0
-    safe_v = v if np.count_nonzero(pos) == pos.size else np.where(pos, v, 1.0)
-    return pos & (np.log(u) < 0.5 * x * x + d * (1.0 - safe_v + np.log(safe_v)))
-
-
 class SeededRng:
-    """PCG64-backed random source with gamma/beta variate support.
+    """PCG64-backed random source with beta variate support.
 
     Parameters
     ----------
@@ -57,99 +48,27 @@ class SeededRng:
         """Uniform draw(s) on [low, high)."""
         return self._gen.uniform(low, high, size)
 
-    def standard_normal(self, size=None):
-        return self._gen.standard_normal(size)
-
     # ------------------------------------------------------------------
-    # gamma / beta variates
-
-    def gamma(self, shape, size: int | None = None):
-        """Gamma(shape, 1) draws via Marsaglia-Tsang.
-
-        ``shape`` may be a scalar or an array; with ``size`` given, a scalar
-        shape is expanded to that many independent draws.  Returns a scalar
-        for scalar input without ``size``, else an ndarray.
-        """
-        shape_arr = np.asarray(shape, dtype=np.float64)
-        scalar = shape_arr.ndim == 0 and size is None
-        if size is not None:
-            if shape_arr.ndim != 0:
-                raise ValueError("size is only valid with a scalar shape")
-            shape_arr = np.full(size, float(shape_arr))
-        flat = np.atleast_1d(shape_arr).ravel()
-        if flat.size and not np.all(flat > 0.0):
-            raise ValueError("gamma shape parameters must be positive")
-        out = self._gamma_flat(flat).reshape(np.atleast_1d(shape_arr).shape)
-        return float(out[0]) if scalar else out
+    # beta variates
 
     def beta(self, a, b, size: int | None = None):
-        """Beta(a, b) draws as G1 / (G1 + G2) with gamma variates.
+        """Beta(a, b) draws from numpy's ``Generator.beta``.
 
-        Both gamma batches come from a single fused rejection pass, which
-        keeps the per-call overhead low for the small arrays the selection
-        loop draws every step.
+        Shapes broadcast; a scalar pair without ``size`` gives a float, and
+        ``size`` expands a scalar pair to that many independent draws.
+        numpy rejects zero and negative shapes but returns NaN for a NaN
+        shape, so positivity is checked here.
         """
         a_arr = np.asarray(a, dtype=np.float64)
         b_arr = np.asarray(b, dtype=np.float64)
-        scalar = a_arr.ndim == 0 and b_arr.ndim == 0 and size is None
-        if size is not None:
-            if a_arr.ndim != 0 or b_arr.ndim != 0:
-                raise ValueError("size is only valid with scalar shapes")
-            a_arr = np.full(size, float(a_arr))
-            b_arr = np.full(size, float(b_arr))
-        if a_arr.shape != b_arr.shape:
-            a_arr, b_arr = np.broadcast_arrays(a_arr, b_arr)
-        flat = np.concatenate((a_arr.ravel(), b_arr.ravel()))
-        if np.count_nonzero(flat > 0.0) != flat.size:
+        if size is not None and (a_arr.ndim or b_arr.ndim):
+            raise ValueError("size is only valid with scalar shapes")
+        if (
+            np.count_nonzero(a_arr > 0.0) != a_arr.size
+            or np.count_nonzero(b_arr > 0.0) != b_arr.size
+        ):
             raise ValueError("beta shape parameters must be positive")
-        g = self._gamma_flat(flat)
-        half = flat.size // 2
-        g1 = g[:half]
-        g2 = g[half:]
-        out = (g1 / (g1 + g2)).reshape(a_arr.shape)
-        return float(out.reshape(-1)[0]) if scalar else out
-
-    def _gamma_flat(self, shape: np.ndarray) -> np.ndarray:
-        """Vectorized Marsaglia-Tsang sampler over a flat shape array.
-
-        The first attempt runs without index bookkeeping and applies only
-        the cheap squeeze test; the exact log-based test and fresh redraws
-        happen just for the handful of elements the squeeze rejects.
-        """
-        n = shape.size
-        if n == 0:
-            return np.empty_like(shape)
-        small = shape < 1.0
-        n_small = np.count_nonzero(small)
-        # shapes below 1 are drawn at shape+1 and boosted afterwards
-        eff = np.where(small, shape + 1.0, shape) if n_small else shape
-        d = eff - 1.0 / 3.0
-        c = 1.0 / np.sqrt(9.0 * d)
-
-        x = self._gen.standard_normal(n)
-        u = self._gen.random(n)
-        v = (1.0 + c * x) ** 3.0
-        xx = x * x
-        accept = (v > 0.0) & (u < 1.0 - 0.0331 * xx * xx)
-        out = d * v
-        if np.count_nonzero(accept) != n:
-            pending = (~accept).nonzero()[0]
-            slow = _mt_full_accept(x[pending], u[pending], v[pending], d[pending])
-            todo = pending[~slow]
-            while todo.size:
-                x = self._gen.standard_normal(todo.size)
-                u = self._gen.random(todo.size)
-                dt = d[todo]
-                v = (1.0 + c[todo] * x) ** 3.0
-                xx = x * x
-                acc = (u < 1.0 - 0.0331 * xx * xx) & (v > 0.0)
-                acc |= _mt_full_accept(x, u, v, dt)
-                out[todo[acc]] = dt[acc] * v[acc]
-                todo = todo[~acc]
-        if n_small:
-            boost = self._gen.random(n_small) ** (1.0 / shape[small])
-            out[small] *= boost
-        return out
+        return self._gen.beta(a_arr, b_arr, size)
 
     # ------------------------------------------------------------------
     # snapshot support

@@ -22,6 +22,7 @@ mid-flight and resumed to a byte-identical continuation.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -30,7 +31,7 @@ from typing import Any
 import numpy as np
 
 from .bandit import compute_pbar
-from .coverage import InputRecord, classify_interesting
+from .coverage import INTERESTING_POLICIES, InputRecord, classify_interesting
 from .errors import ConfigError
 from .rng import SeededRng
 from .schedulers import Scheduler, TScheduler
@@ -90,7 +91,7 @@ class Edge:
     size_range: tuple[int, int] = DEFAULT_SIZE_RANGE
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "prereqs", frozenset(int(x) for x in self.prereqs))
+        object.__setattr__(self, "prereqs", frozenset(map(int, self.prereqs)))
         if not 0.0 < self.p <= 1.0:
             raise ConfigError(f"edge {self.id}: discovery probability must be in (0, 1]")
         lo, hi = self.time_range
@@ -191,37 +192,62 @@ def load_target(path: str | Path) -> CfgTarget:
     return parse_edges(raw)
 
 
+def _is_int(value: Any) -> bool:
+    # JSON true/false decode to bool, which Python counts as an int
+    return type(value) is int
+
+
+def _is_number(value: Any) -> bool:
+    # JSON decoding also yields NaN and Infinity
+    return type(value) in (int, float) and math.isfinite(value)
+
+
+def _is_pair(value: Any, is_item) -> bool:
+    return isinstance(value, list) and len(value) == 2 and all(map(is_item, value))
+
+
+# edge key -> (value check, what the value must be)
+_EDGE_FIELDS = {
+    "id": (_is_int, "an integer"),
+    "p": (_is_number, "a finite number"),
+    "prereqs": (lambda v: isinstance(v, list) and all(map(_is_int, v)), "a list of integers"),
+    "time_range": (lambda v: _is_pair(v, _is_number), "two finite numbers"),
+    "size_range": (lambda v: _is_pair(v, _is_int), "two integers"),
+}
+
+
 def parse_edges(raw: Any) -> CfgTarget:
     """Build a target from a decoded JSON list of edge objects.
 
     ``id`` and ``p`` are required; ``prereqs``, ``time_range`` and
-    ``size_range`` default as in :class:`Edge`.  Unknown keys are rejected.
+    ``size_range`` default as in :class:`Edge`.  Unknown keys and values of
+    the wrong JSON type are rejected, never coerced.
     """
     if not isinstance(raw, list):
         raise ConfigError("the target must be a JSON list of edges")
     edges = []
-    allowed = {"id", "prereqs", "p", "time_range", "size_range"}
     for i, item in enumerate(raw):
         if not isinstance(item, dict):
             raise ConfigError(f"edge #{i} must be a JSON object")
-        unknown = set(item) - allowed
+        unknown = set(item) - _EDGE_FIELDS.keys()
         if unknown:
             raise ConfigError(f"edge #{i}: unknown keys {sorted(unknown)}")
         missing = {"id", "p"} - set(item)
         if missing:
             raise ConfigError(f"edge #{i}: missing keys {sorted(missing)}")
-        try:
-            edges.append(
-                Edge(
-                    id=int(item["id"]),
-                    prereqs=frozenset(int(x) for x in item.get("prereqs", [])),
-                    p=float(item["p"]),
-                    time_range=tuple(item.get("time_range", DEFAULT_TIME_RANGE)),
-                    size_range=tuple(item.get("size_range", DEFAULT_SIZE_RANGE)),
-                )
+        for key, value in item.items():
+            check, what = _EDGE_FIELDS[key]
+            if not check(value):
+                raise ConfigError(f"edge #{i}: {key!r} must be {what}, got {value!r}")
+        edges.append(
+            Edge(
+                id=item["id"],
+                prereqs=frozenset(item.get("prereqs", ())),
+                p=float(item["p"]),
+                time_range=tuple(item.get("time_range", DEFAULT_TIME_RANGE)),
+                size_range=tuple(item.get("size_range", DEFAULT_SIZE_RANGE)),
             )
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"edge #{i} is malformed: {exc}") from exc
+        )
     return CfgTarget(tuple(edges))
 
 
@@ -349,12 +375,21 @@ class _TrialRunner:
     def load_state(self, state: dict[str, Any]) -> None:
         if state.get("kind") != self.kind:
             raise ValueError("runner state does not match this environment kind")
-        self.steps = state["steps"]
-        self.seed = state["seed"]
-        self.step = state["step"]
+        self.steps = _state_int(state, "steps", low=1)
+        self.seed = _state_int(state, "seed")
+        self.step = _state_int(state, "step", high=self.steps)
         self.env_rng.load_state(state["env_rng"])
         self.scheduler.load_state(state["scheduler"])
         self.rows = []
+
+
+def _state_int(state: dict[str, Any], key: str, low: int = 0, high: int | None = None) -> int:
+    """``state[key]`` if it is an integer in [low, high], else ValueError."""
+    value = state[key]
+    if not _is_int(value) or value < low or (high is not None and value > high):
+        bounds = f"[{low}, {high}]" if high is not None else f">= {low}"
+        raise ValueError(f"runner state {key!r} must be an integer {bounds}, got {value!r}")
+    return value
 
 
 def _one_hot(k_size: int, features) -> np.ndarray:
@@ -509,8 +544,18 @@ class FuzzCampaignRunner(_TrialRunner):
 
     def load_state(self, state: dict[str, Any]) -> None:
         super().load_state(state)
-        self.discovered = set(state["discovered"])
-        self.synth_count = state["synth_count"]
+        discovered = state["discovered"]
+        k_size = self.target.k_size
+        if not isinstance(discovered, list) or not all(
+            _is_int(f) and 0 <= f < k_size for f in discovered
+        ):
+            raise ValueError(
+                f"runner state 'discovered' must list feature ids in [0, {k_size})"
+            )
+        if state["policy"] not in INTERESTING_POLICIES:
+            raise ValueError(f"runner state 'policy' must be one of {INTERESTING_POLICIES}")
+        self.discovered = set(discovered)
+        self.synth_count = _state_int(state, "synth_count")
         self.policy = state["policy"]
         self._candidates = {}
 

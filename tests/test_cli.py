@@ -121,6 +121,24 @@ def test_simulate_inline_edge_unknown_key_exits_2(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "edge",
+    [
+        {"id": True, "p": 1.0},
+        {"id": 0, "p": "0.5"},
+        {"id": 0, "p": 1.0, "prereqs": "0"},
+        {"id": 0, "p": 1.0, "size_range": [1.5, 7.9]},
+    ],
+)
+def test_simulate_wrongly_typed_edge_exits_2(tmp_path, capsys, edge):
+    (tmp_path / "target.json").write_text(json.dumps([edge]))
+    cfg = _write_config(tmp_path, environment={"target": str(tmp_path / "target.json")})
+    assert main(["simulate", "--config", str(cfg)]) == 2
+    assert "edge #0" in capsys.readouterr().err
+    cfg = _write_config(tmp_path, environment={"edges": [edge]})
+    assert main(["simulate", "--config", str(cfg)]) == 2
+    assert "edge #0" in capsys.readouterr().err
+
 def test_resume_malformed_runner_state_exits_3(tmp_path, capsys):
     from seedsched.experiment import read_snapshot, write_snapshot
 
@@ -132,3 +150,37 @@ def test_resume_malformed_runner_state_exits_3(tmp_path, capsys):
     write_snapshot(snap, payload)  # the checksum still matches
     assert main(["resume", "--snapshot", str(snap)]) == 3
     assert "alpha" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key,value", [("step", "x"), ("steps", 1.5), ("discovered", "ab")]
+)
+def test_resume_wrongly_typed_runner_state_exits_3(tmp_path, capsys, key, value):
+    from seedsched.experiment import read_snapshot, write_snapshot
+
+    edges = [{"id": 0, "p": 1.0}, {"id": 1, "prereqs": [0], "p": 0.3}]
+    cfg = _write_config(tmp_path, environment={"edges": edges}, steps=20)
+    assert main(["simulate", "--config", str(cfg), "--snapshot-at", "5"]) == 0
+    snap = tmp_path / "out" / "snapshot-step5.json"
+    payload = read_snapshot(snap)
+    payload["runners"][0]["state"][key] = value
+    write_snapshot(snap, payload)  # the checksum still matches
+    assert main(["resume", "--snapshot", str(snap)]) == 3
+    assert key in capsys.readouterr().err
+
+
+def test_resume_rejects_a_version_1_snapshot(tmp_path, capsys, monkeypatch):
+    from seedsched import experiment
+
+    cfg = _write_config(tmp_path, steps=20)
+    assert main(["simulate", "--config", str(cfg), "--snapshot-at", "5"]) == 0
+    snap = tmp_path / "out" / "snapshot-step5.json"
+    payload = experiment.read_snapshot(snap)
+    # a version-1 file, checksum and all, as the previous sampler wrote it
+    monkeypatch.setattr(experiment, "SNAPSHOT_VERSION", 1)
+    experiment.write_snapshot(snap, payload)
+    monkeypatch.undo()
+    capsys.readouterr()
+    assert main(["resume", "--snapshot", str(snap)]) == 3
+    err = capsys.readouterr().err
+    assert "version 1" in err and "expected 2" in err

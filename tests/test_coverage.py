@@ -14,7 +14,6 @@ from seedsched import (
     bucketize,
     classify_interesting,
     absorb,
-    feature_rareness,
     selectable_features,
     update_favored,
 )
@@ -88,15 +87,6 @@ def test_absorb_accumulates_demo_walkthrough_totals():
     for a, b in BRANCH_DEMO_INPUTS:
         absorb(gc, branch_demo_coverage(a, b))
     assert gc.total_hits.tolist() == [4, 3, 1, 6]
-
-
-def test_feature_rareness_reciprocal_with_sentinel():
-    gc = GlobalCoverage.empty(3)
-    absorb(gc, np.array([4, 1, 0]))
-    out = feature_rareness(gc)
-    assert out[0] == 0.25
-    assert out[1] == 1.0
-    assert out[2] == np.inf
 
 
 def test_input_record_weight_and_validation():

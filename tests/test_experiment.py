@@ -286,6 +286,41 @@ class TestSnapshotResume:
         with pytest.raises(SnapshotError, match="runner state"):
             resume_experiment(result.snapshot_path)
 
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("step", "x"),
+            ("step", True),
+            ("step", -1),
+            ("step", 21),
+            ("steps", 1.5),
+            ("steps", 0),
+            ("seed", None),
+            ("synth_count", "3"),
+            ("discovered", "ab"),
+            ("discovered", [0, 7]),
+            ("discovered", [0.0]),
+            ("policy", "everything"),
+        ],
+    )
+    def test_wrongly_typed_runner_state_is_snapshot_error(self, tmp_path, key, value):
+        # every key is present and the checksum is valid; only the value is wrong
+        cfg = parse_config(
+            _base_config(
+                tmp_path / "out",
+                environment={"edges": [{"id": 0, "p": 1.0}, {"id": 1, "prereqs": [0], "p": 0.3}]},
+                schedulers=["rare-plus"],
+                trials=1,
+                steps=20,
+            )
+        )
+        result = run_experiment(cfg, snapshot_at=10)
+        payload = read_snapshot(result.snapshot_path)
+        payload["runners"][0]["state"][key] = value
+        write_snapshot(result.snapshot_path, payload)
+        with pytest.raises(SnapshotError, match=key):
+            resume_experiment(result.snapshot_path)
+
     @pytest.mark.parametrize("payload", [[], {"config": {}}, {"config": {}, "runners": 3}])
     def test_malformed_payload_is_snapshot_error(self, tmp_path, payload):
         path = tmp_path / "snap.json"

@@ -1,11 +1,9 @@
-"""Gamma/beta variate generation: determinism, moments, edge shapes."""
+"""Beta variate generation: determinism, delegation, moments, edge shapes."""
 
 import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from seedsched import SeededRng
 
@@ -41,45 +39,6 @@ def test_state_dict_is_json_serializable():
     assert np.array_equal(rng.random(8), SeededRng(1).random(8))
 
 
-class TestGamma:
-    def test_scalar_in_scalar_out(self):
-        out = SeededRng(0).gamma(4.2)
-        assert isinstance(out, float)
-        assert out > 0
-
-    def test_size_expands_scalar_shape(self):
-        out = SeededRng(0).gamma(2.0, size=1000)
-        assert out.shape == (1000,)
-
-    def test_array_shape_preserved(self):
-        out = SeededRng(0).gamma(np.array([[1.0, 2.0], [3.0, 4.0]]))
-        assert out.shape == (2, 2)
-        assert (out > 0).all()
-
-    def test_size_with_array_shape_rejected(self):
-        with pytest.raises(ValueError):
-            SeededRng(0).gamma(np.array([1.0, 2.0]), size=5)
-
-    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan])
-    def test_nonpositive_shape_rejected(self, bad):
-        with pytest.raises(ValueError):
-            SeededRng(0).gamma(bad, size=3)
-
-    @pytest.mark.parametrize("shape", [0.3, 0.9, 1.0, 4.7, 100.0])
-    def test_moments(self, shape):
-        # Gamma(k, 1) has mean k and variance k
-        n = 200_000
-        draws = SeededRng(11).gamma(shape, size=n)
-        se = np.sqrt(shape / n)
-        assert abs(draws.mean() - shape) < 4 * se
-        assert abs(draws.var() / shape - 1.0) < 0.05
-        assert (draws > 0).all()
-
-    def test_empty_input(self):
-        out = SeededRng(0).gamma(np.array([]))
-        assert out.shape == (0,)
-
-
 class TestBeta:
     def test_scalar_in_scalar_out(self):
         out = SeededRng(0).beta(2.0, 3.0)
@@ -100,6 +59,24 @@ class TestBeta:
         with pytest.raises(ValueError):
             SeededRng(0).beta(1.0, -2.0, size=2)
 
+    def test_nan_parameters_rejected(self):
+        # numpy's Generator.beta returns NaN for a NaN shape without raising
+        with pytest.raises(ValueError, match="positive"):
+            SeededRng(0).beta(np.nan, 1.0)
+        with pytest.raises(ValueError, match="positive"):
+            SeededRng(0).beta(np.array([1.0, 2.0]), np.array([3.0, np.nan]))
+
+    @pytest.mark.parametrize("seed,stream", [(0, 0), (123, 1), (2**31, 0)])
+    def test_delegates_to_numpy_generator(self, seed, stream):
+        ref = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, stream])))
+        rng = SeededRng(seed, stream)
+        a = np.array([1.0, 2.0, 5.0, 0.5, 1e6])
+        b = np.array([1.0, 9.0, 25.0, 0.5, 1e12])
+        assert np.array_equal(rng.beta(a, b), ref.beta(a, b))
+        assert rng.beta(3.0, 4.0) == ref.beta(3.0, 4.0)
+        assert np.array_equal(rng.beta(2.0, 3.0, size=7), ref.beta(2.0, 3.0, size=7))
+        assert rng.state_dict() == ref.bit_generator.state
+
     @pytest.mark.parametrize("a,b", [(1.0, 1.0), (2.0, 5.0), (0.5, 0.5), (100.0, 3.0)])
     def test_moments(self, a, b):
         n = 200_000
@@ -119,14 +96,3 @@ class TestBeta:
         draws = SeededRng(5).beta(1e6, 1.0, size=10_000)
         assert ((draws > 0.0) & (draws < 1.0)).all()
         assert draws.min() > 0.99
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    shape=st.floats(min_value=0.01, max_value=1e6),
-    seed=st.integers(min_value=0, max_value=2**31),
-)
-def test_gamma_draws_always_positive_finite(shape, seed):
-    draws = SeededRng(seed).gamma(shape, size=32)
-    assert np.isfinite(draws).all()
-    assert (draws > 0).all()

@@ -164,6 +164,40 @@ class TestLoadTarget:
         with pytest.raises(ConfigError):
             load_target(tmp_path / "absent.json")
 
+    @pytest.mark.parametrize(
+        "edge",
+        [
+            {"id": True, "p": 1.0},
+            {"id": 0.0, "p": 1.0},
+            {"id": "0", "p": 1.0},
+            {"id": 0, "p": True},
+            {"id": 0, "p": "0.5"},
+            {"id": 0, "p": None},
+            {"id": 0, "p": 1.0, "prereqs": "1"},
+            {"id": 0, "p": 1.0, "prereqs": [True]},
+            {"id": 0, "p": 1.0, "prereqs": [1.0]},
+            {"id": 0, "p": 1.0, "size_range": [1.5, 7.9]},
+            {"id": 0, "p": 1.0, "size_range": [True, 5]},
+            {"id": 0, "p": 1.0, "size_range": [1, 2, 3]},
+            {"id": 0, "p": 1.0, "time_range": ["1", "2"]},
+            {"id": 0, "p": 1.0, "time_range": [1.0, False]},
+            {"id": 0, "p": 1.0, "time_range": [1.0, float("inf")]},
+        ],
+    )
+    def test_rejects_wrong_value_types(self, tmp_path, edge):
+        # a second, well-formed edge keeps the ids 0..1 and the DAG valid
+        other = {"id": 1, "p": 1.0}
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps([edge, other]))
+        with pytest.raises(ConfigError, match="edge #0"):
+            load_target(path)
+
+    def test_integral_numbers_are_accepted_where_floats_are_expected(self, tmp_path):
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps([{"id": 0, "p": 1, "time_range": [1, 2]}]))
+        edge = load_target(path).edges[0]
+        assert edge.p == 1.0 and edge.time_range == (1, 2)
+
 
 def test_trial_log_validation():
     with pytest.raises(ValueError):
