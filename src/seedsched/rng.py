@@ -17,7 +17,7 @@ __all__ = ["SeededRng"]
 
 
 class SeededRng:
-    """PCG64-backed random source with beta variate support.
+    """PCG64-backed random source with gamma/beta variate support.
 
     Parameters
     ----------
@@ -49,7 +49,21 @@ class SeededRng:
         return self._gen.uniform(low, high, size)
 
     # ------------------------------------------------------------------
-    # beta variates
+    # gamma / beta variates
+
+    def gamma(self, shape, size: int | None = None):
+        """Gamma(shape, 1) draws from numpy's ``Generator.standard_gamma``.
+
+        Same conventions as :meth:`beta`: a scalar shape without ``size``
+        gives a float, ``size`` expands a scalar shape, and a NaN shape is
+        rejected along with zero and negative ones.
+        """
+        shape_arr = np.asarray(shape, dtype=np.float64)
+        if size is not None and shape_arr.ndim:
+            raise ValueError("size is only valid with a scalar shape")
+        if np.count_nonzero(shape_arr > 0.0) != shape_arr.size:
+            raise ValueError("gamma shape parameters must be positive")
+        return self._gen.standard_gamma(shape_arr, size)
 
     def beta(self, a, b, size: int | None = None):
         """Beta(a, b) draws from numpy's ``Generator.beta``.

@@ -1,9 +1,11 @@
-"""Beta variate generation: determinism, delegation, moments, edge shapes."""
+"""Gamma/beta variate generation: determinism, delegation, moments, edge shapes."""
 
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seedsched import SeededRng
 
@@ -37,6 +39,45 @@ def test_state_dict_is_json_serializable():
     rng = SeededRng(99)
     rng.load_state(restored)
     assert np.array_equal(rng.random(8), SeededRng(1).random(8))
+
+
+class TestGamma:
+    def test_scalar_in_scalar_out(self):
+        out = SeededRng(0).gamma(4.2)
+        assert isinstance(out, float)
+        assert out > 0
+
+    def test_size_expands_scalar_shape(self):
+        out = SeededRng(0).gamma(2.0, size=1000)
+        assert out.shape == (1000,)
+
+    def test_array_shape_preserved(self):
+        out = SeededRng(0).gamma(np.array([[1.0, 2.0], [3.0, 4.0]]))
+        assert out.shape == (2, 2)
+        assert (out > 0).all()
+
+    def test_size_with_array_shape_rejected(self):
+        with pytest.raises(ValueError):
+            SeededRng(0).gamma(np.array([1.0, 2.0]), size=5)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan])
+    def test_nonpositive_shape_rejected(self, bad):
+        with pytest.raises(ValueError):
+            SeededRng(0).gamma(bad, size=3)
+
+    @pytest.mark.parametrize("shape", [0.3, 0.9, 1.0, 4.7, 100.0])
+    def test_moments(self, shape):
+        # Gamma(k, 1) has mean k and variance k
+        n = 200_000
+        draws = SeededRng(11).gamma(shape, size=n)
+        se = np.sqrt(shape / n)
+        assert abs(draws.mean() - shape) < 4 * se
+        assert abs(draws.var() / shape - 1.0) < 0.05
+        assert (draws > 0).all()
+
+    def test_empty_input(self):
+        out = SeededRng(0).gamma(np.array([]))
+        assert out.shape == (0,)
 
 
 class TestBeta:
@@ -96,3 +137,14 @@ class TestBeta:
         draws = SeededRng(5).beta(1e6, 1.0, size=10_000)
         assert ((draws > 0.0) & (draws < 1.0)).all()
         assert draws.min() > 0.99
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    shape=st.floats(min_value=0.01, max_value=1e6),
+    seed=st.integers(min_value=0, max_value=2**31),
+)
+def test_gamma_draws_always_positive_finite(shape, seed):
+    draws = SeededRng(seed).gamma(shape, size=32)
+    assert np.isfinite(draws).all()
+    assert (draws > 0).all()
