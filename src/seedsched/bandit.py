@@ -164,10 +164,14 @@ def select_action(
     else:
         # theta ~ Beta(alpha, beta) and psi ~ Beta(alpha + beta, alpha**2)
         # come from one draw; a = (alpha, alpha + beta) and
-        # b = (beta, alpha**2) are views into one buffer.
+        # b = (beta, alpha**2) are views into one buffer, written in place.
         alpha, beta = state.alpha, state.beta
-        ab = np.concatenate((alpha, alpha + beta, beta, alpha * alpha))
-        draws = rng.beta(ab[: 2 * k], ab[2 * k :])
+        ab = np.empty((4, k))
+        ab[0] = alpha
+        np.add(alpha, beta, out=ab[1])
+        ab[2] = beta
+        np.multiply(alpha, alpha, out=ab[3])
+        draws = rng.beta(ab[:2].ravel(), ab[2:].ravel())
         scores = draws[:k] * draws[k:]
     if n_selectable < k:
         scores = np.where(mask, scores, -np.inf)

@@ -120,12 +120,17 @@ class FavoredTable:
         return self.entries[feature][0]
 
 
-def _check_coverage(k_size: int, coverage: np.ndarray) -> np.ndarray:
+def _check_length(k_size: int, coverage: np.ndarray) -> np.ndarray:
     cov = np.asarray(coverage)
     if cov.shape != (k_size,):
         raise DimensionMismatch(
             f"coverage map length {cov.shape} does not match k_size {k_size}"
         )
+    return cov
+
+
+def _check_coverage(k_size: int, coverage: np.ndarray) -> np.ndarray:
+    cov = _check_length(k_size, coverage)
     if np.count_nonzero(cov < 0):
         raise ValueError("hit counts must be non-negative")
     return cov
@@ -148,11 +153,15 @@ def classify_interesting(
 
 def absorb(global_cov: GlobalCoverage, coverage: np.ndarray) -> GlobalCoverage:
     """Fold one execution's hit counts into the global accumulator."""
-    cov = _check_coverage(global_cov.k_size, coverage)
+    cov = _check_length(global_cov.k_size, coverage)
+    hit = cov.nonzero()[0]
+    # a negative count is nonzero, so checking the gathered counts suffices
+    counts = cov[hit].tolist()
+    if any(c < 0 for c in counts):
+        raise ValueError("hit counts must be non-negative")
     global_cov.total_hits += cov if cov.dtype == np.int64 else cov.astype(np.int64)
     seen = global_cov.seen_buckets
-    hit = cov.nonzero()[0]
-    for k, hits in zip(hit.tolist(), cov[hit].tolist()):
+    for k, hits in zip(hit.tolist(), counts):
         seen[k].add(bucketize(int(hits)))
     return global_cov
 

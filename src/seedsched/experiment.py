@@ -15,6 +15,7 @@ import hashlib
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import Any
 
@@ -23,14 +24,13 @@ import numpy as np
 from .coverage import INTERESTING_POLICIES
 from .errors import ConfigError, SnapshotError
 from .metrics import auc, bootstrap_ci, coverage_timeline, mann_whitney_u
-from .schedulers import SCHEDULER_NAMES, make_scheduler
+from .schedulers import SCHEDULER_NAMES, _is_int, make_scheduler
 from .simulator import (
     BernoulliArmsEnv,
     BernoulliTrialRunner,
     CfgTarget,
     FuzzCampaignRunner,
     TrialLog,
-    _is_int,
     load_target,
     parse_edges,
 )
@@ -181,7 +181,7 @@ def parse_config(raw: Any, base_dir: Path | str = ".") -> ExperimentConfig:
     _require(_is_int(steps) and steps >= 1, "'steps' must be an integer >= 1")
 
     base_seed = raw.get("base_seed", 0)
-    _require(_is_int(base_seed), "'base_seed' must be an integer")
+    _require(_is_int(base_seed) and base_seed >= 0, "'base_seed' must be an integer >= 0")
 
     output_dir = raw.get("output_dir", "results")
     _require(isinstance(output_dir, str) and output_dir, "'output_dir' must be a path string")
@@ -306,24 +306,27 @@ def _format_cell(value: Any) -> str:
 
 
 def write_trial_csv(path: Path, log: TrialLog) -> None:
+    def ints(column) -> list[int]:
+        return np.asarray(column, dtype=np.int64).tolist()
+
+    n = len(log)
+    # one conversion per column, not per cell
+    rows = zip(
+        ints(log.steps),
+        repeat(log.scheduler, n),
+        repeat(log.trial, n),
+        ints(log.actions),
+        ints(log.interesting),
+        map(repr, np.asarray(log.regret, dtype=np.float64).tolist()),
+        ints(log.covered),
+        ints(log.corpus_size),
+        ints(log.select_ops),
+        ints(log.update_ops),
+    )
     with path.open("w", newline="", encoding="ascii") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRIAL_LOG_COLUMNS)
-        for i in range(len(log)):
-            writer.writerow(
-                [
-                    int(log.steps[i]),
-                    log.scheduler,
-                    log.trial,
-                    int(log.actions[i]),
-                    int(log.interesting[i]),
-                    repr(float(log.regret[i])),
-                    int(log.covered[i]),
-                    int(log.corpus_size[i]),
-                    int(log.select_ops[i]),
-                    int(log.update_ops[i]),
-                ]
-            )
+        writer.writerows(rows)
 
 
 def write_summary_csv(path: Path, rows: list[dict[str, Any]]) -> None:

@@ -24,6 +24,7 @@ wall clock.
 
 from __future__ import annotations
 
+import math
 from typing import Any
 
 import numpy as np
@@ -31,6 +32,7 @@ import numpy as np
 from . import bandit
 from .bandit import PosteriorState, Variant, init_posterior
 from .coverage import (
+    BUCKET_LABELS,
     FavoredTable,
     GlobalCoverage,
     InputRecord,
@@ -50,6 +52,51 @@ __all__ = [
     "SCHEDULER_NAMES",
     "make_scheduler",
 ]
+
+
+def _is_int(value: Any) -> bool:
+    # JSON true/false decode to bool, which Python counts as an int
+    return type(value) is int
+
+
+def _is_number(value: Any) -> bool:
+    # JSON decoding also yields NaN and Infinity
+    return type(value) in (int, float) and math.isfinite(value)
+
+
+def _state_int(state: dict[str, Any], key: str, low: int = 0, high: int | None = None) -> int:
+    """``state[key]`` if it is an integer in [low, high], else ValueError."""
+    value = state[key]
+    if not _is_int(value) or value < low or (high is not None and value > high):
+        bounds = f"[{low}, {high}]" if high is not None else f">= {low}"
+        raise ValueError(f"runner state {key!r} must be an integer {bounds}, got {value!r}")
+    return value
+
+
+def _state_check(ok: bool, key: str, what: str) -> None:
+    if not ok:
+        raise ValueError(f"runner state {key!r} must be {what}")
+
+
+def _corpus_record(row: Any, k_size: int) -> InputRecord:
+    """One snapshotted corpus row as an :class:`InputRecord`, or ValueError."""
+    _state_check(isinstance(row, dict), "corpus", "a list of objects")
+    _state_check(isinstance(row["id"], str), "id", "a string")
+    exec_time = row["exec_time"]
+    _state_check(_is_number(exec_time) and exec_time >= 0, "exec_time", "a finite number >= 0")
+    features = row["features"]
+    _state_check(
+        isinstance(features, list) and all(_is_int(f) and 0 <= f < k_size for f in features),
+        "features",
+        f"a list of feature ids in [0, {k_size})",
+    )
+    return InputRecord(
+        id=row["id"],
+        size=_state_int(row, "size"),
+        exec_time=exec_time,
+        features=frozenset(features),
+        times_fuzzed=_state_int(row, "times_fuzzed"),
+    )
 
 
 class Scheduler:
@@ -79,8 +126,7 @@ class Scheduler:
         cov = np.asarray(coverage)
         if cov.shape != (self.k_size,):
             raise DimensionMismatch("coverage map length must equal k_size")
-        touched = int(np.count_nonzero(cov))
-        self._learn(record, cov, interesting)
+        touched = self._learn(record, cov, interesting)
         absorb(self.global_coverage, cov)
         if interesting and record.id not in self.corpus:
             self.corpus[record.id] = record
@@ -90,8 +136,10 @@ class Scheduler:
         self.last_update_ops = touched
         self.total_update_ops += touched
 
-    def _learn(self, record: InputRecord, cov: np.ndarray, interesting: bool) -> None:
-        """Posterior update hook; baselines without a posterior skip it."""
+    def _learn(self, record: InputRecord, cov: np.ndarray, interesting: bool) -> int:
+        """Posterior update hook; returns the number of features ``cov``
+        touches.  Baselines without a posterior only count them."""
+        return int(np.count_nonzero(cov))
 
     def _retain(self, record: InputRecord, interesting: bool) -> None:
         """Favored-table hook for schedulers that keep one."""
@@ -137,26 +185,36 @@ class Scheduler:
     def load_state(self, state: dict[str, Any]) -> None:
         if state.get("name") != self.name or state.get("k_size") != self.k_size:
             raise ValueError("scheduler state does not match this scheduler")
-        self.rng.load_state(state["rng"])
-        self.corpus = {}
-        self.insertion_order = []
-        for row in state["corpus"]:
-            rec = InputRecord(
-                id=row["id"],
-                size=row["size"],
-                exec_time=row["exec_time"],
-                features=frozenset(row["features"]),
-                times_fuzzed=row["times_fuzzed"],
-            )
-            self.corpus[rec.id] = rec
-            self.insertion_order.append(rec.id)
-        self.global_coverage = GlobalCoverage(
-            np.array(state["total_hits"], dtype=np.int64),
-            [set(s) for s in state["seen_buckets"]],
+        k_size = self.k_size
+        rows = state["corpus"]
+        _state_check(isinstance(rows, list), "corpus", "a list of objects")
+        records = [_corpus_record(row, k_size) for row in rows]
+        corpus = {rec.id: rec for rec in records}
+        _state_check(len(corpus) == len(records), "corpus", "a list of inputs with unique ids")
+        hits, buckets = state["total_hits"], state["seen_buckets"]
+        _state_check(
+            isinstance(hits, list)
+            and len(hits) == k_size
+            and all(_is_int(h) and h >= 0 for h in hits),
+            "total_hits",
+            f"a list of {k_size} integers >= 0",
         )
-        self.observations = state["observations"]
-        self.total_select_ops = state["total_select_ops"]
-        self.total_update_ops = state["total_update_ops"]
+        _state_check(
+            isinstance(buckets, list)
+            and len(buckets) == k_size
+            and all(isinstance(b, list) and set(b) <= set(BUCKET_LABELS) for b in buckets),
+            "seen_buckets",
+            f"a list of {k_size} lists of bucket labels",
+        )
+        self.observations = _state_int(state, "observations")
+        self.total_select_ops = _state_int(state, "total_select_ops")
+        self.total_update_ops = _state_int(state, "total_update_ops")
+        self.rng.load_state(state["rng"])
+        self.corpus = corpus
+        self.insertion_order = list(corpus)
+        self.global_coverage = GlobalCoverage(
+            np.array(hits, dtype=np.int64), [set(b) for b in buckets]
+        )
 
 
 class _PosteriorScheduler(Scheduler):
@@ -169,9 +227,12 @@ class _PosteriorScheduler(Scheduler):
         self._mask_entries = -1
         self._mask = np.zeros(k_size, dtype=bool)
 
-    def _learn(self, record: InputRecord, cov: np.ndarray, interesting: bool) -> None:
-        reward = bandit.compute_reward(cov, interesting)
-        bandit.update_posterior(self.posterior, reward)
+    def _learn(self, record: InputRecord, cov: np.ndarray, interesting: bool) -> int:
+        # one scan gives both the reward dict of bandit.compute_reward and
+        # the touched count
+        hit = cov.nonzero()[0].tolist()
+        bandit.update_posterior(self.posterior, dict.fromkeys(hit, 1 if interesting else 0))
+        return len(hit)
 
     def _retain(self, record: InputRecord, interesting: bool) -> None:
         if interesting:
@@ -179,7 +240,8 @@ class _PosteriorScheduler(Scheduler):
 
     def _selectable(self) -> np.ndarray:
         """``selectable_features(self.favored)``, rebuilt only when the table
-        has gained an entry; entries are replaced but never removed."""
+        has gained an entry; entries are replaced but never removed, so the
+        entry count is also the number of selectable features."""
         entries = len(self.favored.entries)
         if entries != self._mask_entries:
             self._mask = selectable_features(self.favored)
@@ -200,14 +262,27 @@ class _PosteriorScheduler(Scheduler):
 
     def load_state(self, state: dict[str, Any]) -> None:
         super().load_state(state)
+        k_size = self.k_size
+        for key in ("alpha", "beta"):
+            values = state[key]
+            _state_check(
+                isinstance(values, list)
+                and len(values) == k_size
+                and all(math.isfinite(float(v)) for v in values),
+                key,
+                f"a list of {k_size} finite numbers",
+            )
         self.posterior = PosteriorState(
             np.array([float(v) for v in state["alpha"]]),
             np.array([float(v) for v in state["beta"]]),
         )
-        self.favored = FavoredTable(
-            self.k_size,
-            {int(k): (iid, float(w)) for k, (iid, w) in state["favored"].items()},
+        entries = {int(k): (iid, float(w)) for k, (iid, w) in state["favored"].items()}
+        _state_check(
+            all(0 <= k < k_size and iid in self.corpus for k, (iid, _) in entries.items()),
+            "favored",
+            f"a map from feature ids in [0, {k_size}) to corpus inputs",
         )
+        self.favored = FavoredTable(k_size, entries)
         self._mask_entries = -1
 
 
@@ -239,7 +314,7 @@ class GreedyScheduler(_PosteriorScheduler):
 
     def _choose(self) -> tuple[str, int, int]:
         mask = self._selectable()
-        n_selectable = np.count_nonzero(mask)
+        n_selectable = self._mask_entries
         if not n_selectable:
             raise EmptyCorpusError("no selectable feature; seed the corpus first")
         alpha, beta = self.posterior.alpha, self.posterior.beta
@@ -288,7 +363,7 @@ class RoundRobinScheduler(Scheduler):
 
     def load_state(self, state: dict[str, Any]) -> None:
         super().load_state(state)
-        self.cursor = state["cursor"]
+        self.cursor = _state_int(state, "cursor")
 
 
 SCHEDULER_NAMES = (

@@ -22,7 +22,6 @@ mid-flight and resumed to a byte-identical continuation.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -34,7 +33,7 @@ from .bandit import compute_pbar
 from .coverage import INTERESTING_POLICIES, InputRecord, classify_interesting
 from .errors import ConfigError
 from .rng import SeededRng
-from .schedulers import Scheduler, TScheduler
+from .schedulers import Scheduler, TScheduler, _is_int, _is_number, _state_int
 
 __all__ = [
     "BernoulliArmsEnv",
@@ -126,17 +125,19 @@ class CfgTarget:
         self._check_reachable()
 
     def _check_reachable(self) -> None:
-        # Kahn-style peeling: every edge must become unlockable in some order
-        done: set[int] = set()
-        pending = set(range(len(self.edges)))
-        while pending:
-            ready = {i for i in pending if self.edges[i].prereqs <= done}
-            if not ready:
-                raise ConfigError(
-                    f"edges {sorted(pending)} are unreachable (cyclic prerequisites)"
-                )
-            done |= ready
-            pending -= ready
+        # Kahn's algorithm: every edge must become unlockable in some order.
+        # An edge is ready once its count of unmet prerequisites drops to 0.
+        unmet = [len(e.prereqs) for e in self.edges]
+        children = self.children
+        ready = [i for i, n in enumerate(unmet) if not n]
+        for f in ready:  # the list grows while it is walked
+            for i in children[f]:
+                unmet[i] -= 1
+                if not unmet[i]:
+                    ready.append(i)
+        if len(ready) < len(unmet):
+            pending = sorted(i for i, n in enumerate(unmet) if n)
+            raise ConfigError(f"edges {pending} are unreachable (cyclic prerequisites)")
 
     @property
     def k_size(self) -> int:
@@ -148,10 +149,7 @@ class CfgTarget:
 
     @cached_property
     def children(self) -> tuple[tuple[int, ...], ...]:
-        """``children[f]``: ids of the edges that list f as a prerequisite.
-
-        Built on first use, so validating a target does not pay for it.
-        """
+        """``children[f]``: ids of the edges that list f as a prerequisite."""
         kids: list[list[int]] = [[] for _ in self.edges]
         for e in self.edges:
             for f in e.prereqs:
@@ -190,16 +188,6 @@ def load_target(path: str | Path) -> CfgTarget:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"target file is not valid JSON: {exc}") from exc
     return parse_edges(raw)
-
-
-def _is_int(value: Any) -> bool:
-    # JSON true/false decode to bool, which Python counts as an int
-    return type(value) is int
-
-
-def _is_number(value: Any) -> bool:
-    # JSON decoding also yields NaN and Infinity
-    return type(value) in (int, float) and math.isfinite(value)
 
 
 def _is_pair(value: Any, is_item) -> bool:
@@ -381,15 +369,6 @@ class _TrialRunner:
         self.env_rng.load_state(state["env_rng"])
         self.scheduler.load_state(state["scheduler"])
         self.rows = []
-
-
-def _state_int(state: dict[str, Any], key: str, low: int = 0, high: int | None = None) -> int:
-    """``state[key]`` if it is an integer in [low, high], else ValueError."""
-    value = state[key]
-    if not _is_int(value) or value < low or (high is not None and value > high):
-        bounds = f"[{low}, {high}]" if high is not None else f">= {low}"
-        raise ValueError(f"runner state {key!r} must be an integer {bounds}, got {value!r}")
-    return value
 
 
 def _one_hot(k_size: int, features) -> np.ndarray:

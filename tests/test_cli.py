@@ -184,3 +184,34 @@ def test_resume_rejects_a_version_1_snapshot(tmp_path, capsys, monkeypatch):
     assert main(["resume", "--snapshot", str(snap)]) == 3
     err = capsys.readouterr().err
     assert "version 1" in err and "expected 2" in err
+
+
+@pytest.mark.parametrize(
+    "scheduler,key,value",
+    [
+        ("round-robin", "cursor", "x"),
+        ("round-robin", "cursor", -1),
+        ("sample", "observations", "x"),
+        ("sample", "total_select_ops", "x"),
+        ("greedy", "total_update_ops", 1.5),
+        ("uniform", "observations", True),
+    ],
+)
+def test_resume_wrongly_typed_scheduler_state_exits_3(tmp_path, capsys, scheduler, key, value):
+    from seedsched.experiment import read_snapshot, write_snapshot
+
+    cfg = _write_config(tmp_path, schedulers=[scheduler], steps=20)
+    assert main(["simulate", "--config", str(cfg), "--snapshot-at", "5"]) == 0
+    snap = tmp_path / "out" / "snapshot-step5.json"
+    payload = read_snapshot(snap)
+    payload["runners"][0]["state"]["scheduler"][key] = value
+    write_snapshot(snap, payload)  # the checksum still matches
+    capsys.readouterr()
+    assert main(["resume", "--snapshot", str(snap)]) == 3
+    assert key in capsys.readouterr().err
+
+
+def test_simulate_negative_base_seed_exits_2(tmp_path, capsys):
+    cfg = _write_config(tmp_path, base_seed=-5)
+    assert main(["simulate", "--config", str(cfg)]) == 2
+    assert "base_seed" in capsys.readouterr().err

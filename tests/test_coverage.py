@@ -89,6 +89,23 @@ def test_absorb_accumulates_demo_walkthrough_totals():
     assert gc.total_hits.tolist() == [4, 3, 1, 6]
 
 
+@pytest.mark.parametrize(
+    "coverage", [[1, -1, 0], [-3, 0, 0], [0.0, 2.0, -0.5]], ids=["int", "first", "float"]
+)
+def test_absorb_rejects_negative_counts_and_leaves_totals(coverage):
+    gc = GlobalCoverage.empty(3)
+    absorb(gc, np.array([1, 1, 1]))
+    with pytest.raises(ValueError, match="non-negative"):
+        absorb(gc, np.array(coverage))
+    assert gc.total_hits.tolist() == [1, 1, 1]
+    assert gc.seen_buckets == [{1}, {1}, {1}]
+
+
+def test_absorb_checks_coverage_length():
+    with pytest.raises(DimensionMismatch):
+        absorb(GlobalCoverage.empty(2), np.array([1, 0, 0]))
+
+
 def test_input_record_weight_and_validation():
     rec = InputRecord("a", size=40, exec_time=0.5, features=frozenset({1}))
     assert rec.weight == 20.0

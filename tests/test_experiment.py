@@ -1,8 +1,10 @@
 """Experiment config parsing, batch runs, CSV output, snapshot/resume."""
 
+import csv
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from seedsched import ConfigError, SnapshotError, load_config, parse_config, run_experiment
@@ -13,7 +15,9 @@ from seedsched.experiment import (
     resume_experiment,
     trial_csv_name,
     write_snapshot,
+    write_trial_csv,
 )
+from seedsched.simulator import TrialLog
 
 
 def _base_config(out_dir, **overrides):
@@ -84,6 +88,10 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=field):
             parse_config(_base_config(".", **{field: True}))
 
+    def test_negative_base_seed_rejected(self):
+        with pytest.raises(ConfigError, match="base_seed"):
+            parse_config(_base_config(".", base_seed=-1))
+
     def test_zero_arm_probability_rejected(self):
         with pytest.raises(ConfigError, match="arm"):
             parse_config(_base_config(".", environment={"arms": [0.0, 0.5]}))
@@ -145,6 +153,49 @@ class TestParseConfig:
         bad.write_text("{")
         with pytest.raises(ConfigError):
             load_config(bad)
+
+
+def _row_by_row_csv(path, log):
+    """Reference trial CSV writer: one csv row per step, cell by cell."""
+    with path.open("w", newline="", encoding="ascii") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(TRIAL_LOG_COLUMNS)
+        for i in range(len(log)):
+            writer.writerow(
+                [
+                    int(log.steps[i]),
+                    log.scheduler,
+                    log.trial,
+                    int(log.actions[i]),
+                    int(log.interesting[i]),
+                    repr(float(log.regret[i])),
+                    int(log.covered[i]),
+                    int(log.corpus_size[i]),
+                    int(log.select_ops[i]),
+                    int(log.update_ops[i]),
+                ]
+            )
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 2500])
+def test_trial_csv_matches_a_row_by_row_writer(tmp_path, n):
+    regrets = [0.1, 1e-17, 0.0, 0.19999999999999996, 1.0, 2.5e-300, 0.30000000000000004]
+    rng = np.random.default_rng(n)
+    log = TrialLog(
+        scheduler="rare-plus",
+        trial=3,
+        steps=np.arange(41, 41 + n, dtype=np.int64),
+        actions=rng.integers(0, 2000, n),
+        interesting=rng.random(n) < 0.5,
+        regret=np.resize(np.array(regrets), n),
+        covered=rng.integers(0, 2**40, n),
+        corpus_size=rng.integers(0, 100, n),
+        select_ops=np.full(n, 6000, dtype=np.int64),
+        update_ops=rng.integers(0, 50, n),
+    )
+    write_trial_csv(tmp_path / "columns.csv", log)
+    _row_by_row_csv(tmp_path / "rows.csv", log)
+    assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
 class TestRunExperiment:
@@ -319,6 +370,38 @@ class TestSnapshotResume:
         payload["runners"][0]["state"][key] = value
         write_snapshot(result.snapshot_path, payload)
         with pytest.raises(SnapshotError, match=key):
+            resume_experiment(result.snapshot_path)
+
+    @pytest.mark.parametrize(
+        "scheduler,change,needle",
+        [
+            ("rare-plus", lambda s: s["corpus"][0].__setitem__("id", 5), "id"),
+            ("rare-plus", lambda s: s["corpus"][1].__setitem__("id", "arm0"), "unique"),
+            ("rare-plus", lambda s: s["corpus"][0].__setitem__("size", -1), "size"),
+            ("rare-plus", lambda s: s["corpus"][0].__setitem__("exec_time", "1"), "exec_time"),
+            ("rare-plus", lambda s: s["corpus"][0].__setitem__("features", [7]), "features"),
+            ("rare-plus", lambda s: s["corpus"][0].__setitem__("features", "ab"), "features"),
+            ("uniform", lambda s: s["corpus"][0].__setitem__("times_fuzzed", "x"), "times_fuzzed"),
+            ("uniform", lambda s: s["corpus"].__setitem__(0, "arm0"), "corpus"),
+            ("rare-plus", lambda s: s["favored"].__setitem__("7", ["arm0", 1.0]), "favored"),
+            ("rare-plus", lambda s: s["favored"].__setitem__("0", ["nope", 1.0]), "favored"),
+            ("rare-plus", lambda s: s.__setitem__("alpha", ["1.0"] * 3), "alpha"),
+            ("rare-plus", lambda s: s["alpha"].__setitem__(0, "inf"), "alpha"),
+            ("sample", lambda s: s["beta"].__setitem__(1, "nan"), "beta"),
+            ("sample", lambda s: s.__setitem__("total_hits", [1, 2, 3]), "total_hits"),
+        ],
+    )
+    def test_wrongly_typed_scheduler_state_is_snapshot_error(
+        self, tmp_path, scheduler, change, needle
+    ):
+        cfg = parse_config(
+            _base_config(tmp_path / "out", schedulers=[scheduler], trials=1, steps=20)
+        )
+        result = run_experiment(cfg, snapshot_at=10)
+        payload = read_snapshot(result.snapshot_path)
+        change(payload["runners"][0]["state"]["scheduler"])
+        write_snapshot(result.snapshot_path, payload)
+        with pytest.raises(SnapshotError, match=needle):
             resume_experiment(result.snapshot_path)
 
     @pytest.mark.parametrize("payload", [[], {"config": {}}, {"config": {}, "runners": 3}])

@@ -118,6 +118,39 @@ class TestBeta:
         assert np.array_equal(rng.beta(2.0, 3.0, size=7), ref.beta(2.0, 3.0, size=7))
         assert rng.state_dict() == ref.bit_generator.state
 
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_short_and_long_shape_arrays_match_numpy(self, n):
+        # up to _SCALAR_BETA_MAX pairs are drawn one scalar call at a time,
+        # longer arrays in one vector call; both equal the bare generator
+        pairs = [(1.0, 1.0), (0.3, 0.5), (1e6, 1e12), (2.0, 9.0), (0.5, 0.5), (40.0, 1.0)]
+        a = np.array([pairs[i % len(pairs)][0] for i in range(n)])
+        b = np.array([pairs[i % len(pairs)][1] for i in range(n)])
+        ref = np.random.Generator(np.random.PCG64(np.random.SeedSequence([n, 0])))
+        rng = SeededRng(n, 0)
+        for _ in range(50):
+            got = rng.beta(a, b)
+            assert isinstance(got, np.ndarray) and got.dtype == np.float64
+            assert np.array_equal(got, ref.beta(a, b))
+        assert rng.state_dict() == ref.bit_generator.state
+
+    @pytest.mark.parametrize("bad", [np.nan, 0.0, -1.0])
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_short_path_rejects_nonpositive_and_nan(self, n, bad):
+        rng = SeededRng(0)
+        before = rng.state_dict()
+        a = np.ones(n)
+        b = np.ones(n)
+        b[-1] = bad
+        with pytest.raises(ValueError, match="positive"):
+            rng.beta(a, b)
+        with pytest.raises(ValueError, match="positive"):
+            rng.beta(b, a)
+        assert rng.state_dict() == before
+
+    def test_empty_shape_arrays(self):
+        out = SeededRng(0).beta(np.array([]), np.array([]))
+        assert out.shape == (0,) and out.dtype == np.float64
+
     @pytest.mark.parametrize("a,b", [(1.0, 1.0), (2.0, 5.0), (0.5, 0.5), (100.0, 3.0)])
     def test_moments(self, a, b):
         n = 200_000

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seedsched import (
     DimensionMismatch,
@@ -12,7 +14,10 @@ from seedsched import (
     SCHEDULER_NAMES,
     TScheduler,
     UniformScheduler,
+    compute_reward,
+    init_posterior,
     make_scheduler,
+    update_posterior,
 )
 
 
@@ -59,6 +64,24 @@ def test_observe_updates_posterior_counts():
     assert sched.posterior.alpha.tolist() == [2.0, 1.0, 2.0]
     assert sched.posterior.beta.tolist() == [2.0, 1.0, 1.0]
     assert sched.global_coverage.total_hits.tolist() == [3, 0, 4]
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_observe_updates_like_compute_reward(data):
+    # observe builds the reward dict from its own scan of the map; it must
+    # equal update_posterior(compute_reward(...)), and update_ops the touched count
+    k = data.draw(st.integers(min_value=1, max_value=12))
+    sched = TScheduler(k, "rare-minus", seed=0)
+    ref = init_posterior(k)
+    for i in range(data.draw(st.integers(min_value=1, max_value=20))):
+        cov = np.array(data.draw(st.lists(st.integers(0, 200), min_size=k, max_size=k)))
+        interesting = data.draw(st.booleans())
+        sched.observe(_record(f"r{i}", np.flatnonzero(cov).tolist()), cov, interesting)
+        update_posterior(ref, compute_reward(cov, interesting))
+        assert sched.last_update_ops == np.count_nonzero(cov)
+    assert np.array_equal(sched.posterior.alpha, ref.alpha)
+    assert np.array_equal(sched.posterior.beta, ref.beta)
 
 
 def test_observe_retains_interesting_once():

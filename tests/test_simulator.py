@@ -115,6 +115,43 @@ class TestEnvValidation:
         with pytest.raises(ConfigError, match="unreachable"):
             CfgTarget((Edge(0, frozenset({1}), 1.0), Edge(1, frozenset({0}), 1.0)))
 
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 12), acyclic=st.booleans())
+    def test_reachability_matches_layer_peeling(self, data, n, acyclic):
+        # with acyclic, every edge depends only on edges earlier in a random
+        # order, so the graph is a DAG; otherwise any other edge may be a
+        # prerequisite and cycles are common
+        order = data.draw(st.permutations(range(n)))
+        prereqs = []
+        for pos, i in enumerate(order):
+            pool = order[:pos] if acyclic else [j for j in range(n) if j != i]
+            chosen = data.draw(st.lists(st.sampled_from(pool), max_size=3)) if pool else []
+            prereqs.append((i, frozenset(chosen)))
+        edges = tuple(Edge(i, pre, 1.0) for i, pre in prereqs)
+        expected = _layer_peeling_verdict({i: pre for i, pre in prereqs})
+        if expected is None:
+            CfgTarget(edges)
+        else:
+            with pytest.raises(ConfigError) as excinfo:
+                CfgTarget(edges)
+            assert str(excinfo.value) == expected
+        if acyclic:
+            assert expected is None
+
+
+def _layer_peeling_verdict(prereqs: dict[int, frozenset]) -> str | None:
+    """Reference reachability rule: peel the DAG one layer per round,
+    rescanning every pending edge; the message names the edges left over."""
+    done: set[int] = set()
+    pending = set(prereqs)
+    while pending:
+        ready = {i for i in pending if prereqs[i] <= done}
+        if not ready:
+            return f"edges {sorted(pending)} are unreachable (cyclic prerequisites)"
+        done |= ready
+        pending -= ready
+    return None
+
 
 def test_chain_and_demo_shapes():
     chain = CfgTarget.chain(5, 0.2)
