@@ -14,7 +14,6 @@ from .bandit import (
     compute_reward,
     expected_phi,
     init_posterior,
-    sample_theta,
     select_action,
     update_posterior,
 )
@@ -81,7 +80,6 @@ __all__ = [
     "compute_reward",
     "expected_phi",
     "init_posterior",
-    "sample_theta",
     "select_action",
     "update_posterior",
     # coverage

@@ -5,9 +5,9 @@ often does exercising this feature lead to something new".  An executed
 input pays reward 1 to every feature it covers when the input was
 interesting and reward 0 to every feature it covers otherwise; features the
 input did not touch are left alone.  Selection draws a success-rate sample
-theta_k ~ Beta(alpha_k, beta_k) per feature and, depending on the variant,
-damps it by a rareness factor so that features whose inputs have already
-produced many discoveries stop monopolising the schedule:
+theta_k ~ Beta(alpha_k, beta_k) per selectable feature and, depending on
+the variant, damps it by a rareness factor so that features whose inputs
+have already produced many discoveries stop monopolising the schedule:
 
 * ``rare-minus``  picks argmax theta_k (no rareness correction);
 * ``rare-plus``   picks argmax phi_k * theta_k with the deterministic
@@ -35,7 +35,6 @@ __all__ = [
     "init_posterior",
     "compute_reward",
     "update_posterior",
-    "sample_theta",
     "expected_phi",
     "compute_pbar",
     "select_action",
@@ -117,15 +116,14 @@ def update_posterior(state: PosteriorState, reward: dict[int, int]) -> Posterior
     return state
 
 
-def sample_theta(state: PosteriorState, rng: SeededRng) -> np.ndarray:
-    """One success-rate draw theta_k ~ Beta(alpha_k, beta_k) per feature."""
-    return rng.beta(state.alpha, state.beta)
+def _phi(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    total = alpha + beta
+    return total / (alpha**2 + total)
 
 
 def expected_phi(state: PosteriorState) -> np.ndarray:
     """Deterministic rareness factor, the mean of the psi distribution."""
-    total = state.alpha + state.beta
-    return total / (state.alpha**2 + total)
+    return _phi(state.alpha, state.beta)
 
 
 def compute_pbar(state: PosteriorState) -> np.ndarray:
@@ -145,9 +143,9 @@ def select_action(
 ) -> int:
     """Pick the feature with the highest selection score among selectable ones.
 
-    Scores for all features are drawn (selectable or not) so that the random
-    stream consumed per call depends only on the feature-space size; the mask
-    is applied afterwards.  Ties resolve to the smallest index.
+    Scores are drawn only for the selectable features, in id order, and the
+    winner is mapped back to its feature id, so ties resolve to the smallest
+    id.  With every feature selectable this is one draw over all K features.
     """
     variant = Variant.parse(variant)
     k = state.k_size
@@ -157,22 +155,27 @@ def select_action(
     n_selectable = np.count_nonzero(mask)
     if not n_selectable:
         raise EmptyCorpusError("no selectable feature; seed the corpus first")
+    alpha, beta = state.alpha, state.beta
+    ids = None
+    if n_selectable < k:
+        # unselectable features would be masked to -inf, so draw none for them
+        ids = np.flatnonzero(mask)
+        alpha, beta = alpha[ids], beta[ids]
     if variant is Variant.RARE_MINUS:
-        scores = sample_theta(state, rng)
+        scores = rng.beta(alpha, beta)
     elif variant is Variant.RARE_PLUS:
-        scores = expected_phi(state) * sample_theta(state, rng)
+        scores = _phi(alpha, beta) * rng.beta(alpha, beta)
     else:
         # theta ~ Beta(alpha, beta) and psi ~ Beta(alpha + beta, alpha**2)
         # come from one draw; a = (alpha, alpha + beta) and
         # b = (beta, alpha**2) are views into one buffer, written in place.
-        alpha, beta = state.alpha, state.beta
-        ab = np.empty((4, k))
+        n = alpha.size
+        ab = np.empty((4, n))
         ab[0] = alpha
         np.add(alpha, beta, out=ab[1])
         ab[2] = beta
         np.multiply(alpha, alpha, out=ab[3])
         draws = rng.beta(ab[:2].ravel(), ab[2:].ravel())
-        scores = draws[:k] * draws[k:]
-    if n_selectable < k:
-        scores = np.where(mask, scores, -np.inf)
-    return int(scores.argmax())
+        scores = draws[:n] * draws[n:]
+    best = int(scores.argmax())
+    return best if ids is None else int(ids[best])

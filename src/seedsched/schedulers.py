@@ -131,7 +131,7 @@ class Scheduler:
         if interesting and record.id not in self.corpus:
             self.corpus[record.id] = record
             self.insertion_order.append(record.id)
-        self._retain(record, interesting)
+            self._retain(record)
         self.observations += 1
         self.last_update_ops = touched
         self.total_update_ops += touched
@@ -141,8 +141,9 @@ class Scheduler:
         touches.  Baselines without a posterior only count them."""
         return int(np.count_nonzero(cov))
 
-    def _retain(self, record: InputRecord, interesting: bool) -> None:
-        """Favored-table hook for schedulers that keep one."""
+    def _retain(self, record: InputRecord) -> None:
+        """Favored-table hook for schedulers that keep one; called once per
+        input, when it joins the corpus."""
 
     # -- scheduling ----------------------------------------------------
 
@@ -206,6 +207,16 @@ class Scheduler:
             "seen_buckets",
             f"a list of {k_size} lists of bucket labels",
         )
+        _state_check(
+            all(bool(b) == (h > 0) for h, b in zip(hits, buckets)),
+            "seen_buckets",
+            "non-empty exactly where 'total_hits' is positive",
+        )
+        _state_check(
+            all(hits[f] > 0 for rec in records for f in rec.features),
+            "corpus",
+            "inputs whose features all have 'total_hits' > 0",
+        )
         self.observations = _state_int(state, "observations")
         self.total_select_ops = _state_int(state, "total_select_ops")
         self.total_update_ops = _state_int(state, "total_update_ops")
@@ -234,9 +245,8 @@ class _PosteriorScheduler(Scheduler):
         bandit.update_posterior(self.posterior, dict.fromkeys(hit, 1 if interesting else 0))
         return len(hit)
 
-    def _retain(self, record: InputRecord, interesting: bool) -> None:
-        if interesting:
-            update_favored(self.favored, record)
+    def _retain(self, record: InputRecord) -> None:
+        update_favored(self.favored, record)
 
     def _selectable(self) -> np.ndarray:
         """``selectable_features(self.favored)``, rebuilt only when the table
@@ -255,9 +265,6 @@ class _PosteriorScheduler(Scheduler):
         state = super().state_dict()
         state["alpha"] = [repr(float(v)) for v in self.posterior.alpha]
         state["beta"] = [repr(float(v)) for v in self.posterior.beta]
-        state["favored"] = {
-            str(k): [iid, repr(float(w))] for k, (iid, w) in sorted(self.favored.entries.items())
-        }
         return state
 
     def load_state(self, state: dict[str, Any]) -> None:
@@ -276,13 +283,11 @@ class _PosteriorScheduler(Scheduler):
             np.array([float(v) for v in state["alpha"]]),
             np.array([float(v) for v in state["beta"]]),
         )
-        entries = {int(k): (iid, float(w)) for k, (iid, w) in state["favored"].items()}
-        _state_check(
-            all(0 <= k < k_size and iid in self.corpus for k, (iid, _) in entries.items()),
-            "favored",
-            f"a map from feature ids in [0, {k_size}) to corpus inputs",
-        )
-        self.favored = FavoredTable(k_size, entries)
+        # the table follows from the corpus: replay the offers in the order
+        # the inputs joined it
+        self.favored = FavoredTable(k_size)
+        for iid in self.insertion_order:
+            update_favored(self.favored, self.corpus[iid])
         self._mask_entries = -1
 
 
@@ -297,7 +302,8 @@ class TScheduler(_PosteriorScheduler):
     def _choose(self) -> tuple[str, int, int]:
         mask = self._selectable()
         action = bandit.select_action(self.posterior, self.variant, mask, self.rng)
-        # theta draws (K) + argmax scan (K), plus K psi draws or phi reads
+        # theta draws (K) + argmax scan (K), plus K psi draws or phi reads;
+        # an upper bound, as only the selectable features are drawn for
         ops = 2 * self.k_size
         if self.variant is not Variant.RARE_MINUS:
             ops += self.k_size

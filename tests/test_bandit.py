@@ -32,6 +32,35 @@ class FakeRng:
         return self._values.pop(0)
 
 
+class RecordingRng(SeededRng):
+    """A real generator that records each beta call's shapes and draws."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.calls = []
+
+    def beta(self, a, b, size=None):
+        out = super().beta(a, b, size)
+        self.calls.append((np.asarray(a), np.asarray(b), out))
+        return out
+
+
+def _shapes(variant, alpha, beta):
+    """The shape arrays ``select_action`` draws for ``variant``."""
+    if variant == "sample":
+        return np.concatenate([alpha, alpha + beta]), np.concatenate([beta, alpha**2])
+    return alpha, beta
+
+
+def _scores(variant, alpha, beta, draws):
+    if variant == "rare-minus":
+        return draws
+    if variant == "rare-plus":
+        return expected_phi(PosteriorState(alpha, beta)) * draws
+    n = alpha.size
+    return draws[:n] * draws[n:]
+
+
 def test_init_posterior_is_uniform():
     state = init_posterior(5)
     assert state.k_size == 5
@@ -172,12 +201,56 @@ class TestSelectAction:
         # scores: [0.5*0.9, 0.8*0.1]
         assert picked == 0
 
-    def test_stream_use_is_mask_independent(self):
-        state = PosteriorState(np.array([2.0, 3.0, 1.0]), np.array([1.0, 2.0, 4.0]))
-        rng_a, rng_b = SeededRng(42), SeededRng(42)
-        select_action(state, "sample", np.array([True, False, True]), rng_a)
-        select_action(state, "sample", np.array([False, True, False]), rng_b)
-        assert rng_a.random() == rng_b.random()
+    @pytest.mark.parametrize("variant", ["rare-minus", "rare-plus", "sample"])
+    @pytest.mark.parametrize(
+        "k,selectable",
+        [(5, [1, 3, 4]), (20, [0, 2, 3, 5, 8, 9, 11, 13, 14, 17, 18, 19]), (6, [5])],
+    )
+    def test_draws_only_for_selectable_features(self, variant, k, selectable):
+        # the draws and the generator state afterwards equal a bare
+        # Generator.beta over the selectable features, in id order
+        gen = np.random.default_rng(0)
+        state = PosteriorState(
+            1.0 + gen.integers(0, 50, k).astype(float), 1.0 + gen.integers(0, 50, k).astype(float)
+        )
+        mask = np.zeros(k, bool)
+        mask[selectable] = True
+        rng = RecordingRng(31)
+        picked = select_action(state, variant, mask, rng)
+        bare = np.random.Generator(np.random.PCG64(np.random.SeedSequence([31, 0])))
+        alpha, beta = state.alpha[selectable], state.beta[selectable]
+        a, b = _shapes(variant, alpha, beta)
+        expected = bare.beta(a, b)
+        (call,) = rng.calls
+        assert call[0].tolist() == a.tolist() and call[1].tolist() == b.tolist()
+        assert np.array_equal(call[2], expected)
+        assert rng.state_dict() == bare.bit_generator.state
+        scores = _scores(variant, alpha, beta, expected)
+        assert picked == selectable[int(scores.argmax())]
+
+    @pytest.mark.parametrize("variant", ["rare-minus", "rare-plus", "sample"])
+    @pytest.mark.parametrize("k", [3, 12])
+    def test_all_selectable_draws_over_all_features(self, variant, k):
+        state = PosteriorState(np.arange(1.0, k + 1.0), np.arange(k + 1.0, 1.0, -1.0))
+        rng = RecordingRng(8)
+        picked = select_action(state, variant, np.ones(k, bool), rng)
+        a, b = _shapes(variant, state.alpha, state.beta)
+        expected = SeededRng(8).beta(a, b)
+        (call,) = rng.calls
+        assert call[0].tolist() == a.tolist() and call[1].tolist() == b.tolist()
+        assert np.array_equal(call[2], expected)
+        assert picked == int(_scores(variant, state.alpha, state.beta, expected).argmax())
+
+    @pytest.mark.parametrize("variant", ["rare-minus", "rare-plus", "sample"])
+    def test_partial_mask_returns_global_id_and_smallest_tie(self, variant):
+        # selectable ids 1, 3, 4; the scripted scores tie at positions 1 and 2
+        mask = np.array([False, True, False, True, True])
+        theta = [0.2, 0.7, 0.7]
+        values = theta + [0.5, 0.5, 0.5] if variant == "sample" else theta
+        rng = FakeRng([values])
+        assert select_action(init_posterior(5), variant, mask, rng) == 3
+        (a, _), = rng.calls
+        assert a.size == (6 if variant == "sample" else 3)
 
     def test_no_selectable_feature_raises(self):
         with pytest.raises(EmptyCorpusError):

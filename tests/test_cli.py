@@ -169,21 +169,40 @@ def test_resume_wrongly_typed_runner_state_exits_3(tmp_path, capsys, key, value)
     assert key in capsys.readouterr().err
 
 
-def test_resume_rejects_a_version_1_snapshot(tmp_path, capsys, monkeypatch):
+def test_resume_rejects_a_version_2_snapshot(tmp_path, capsys, monkeypatch):
     from seedsched import experiment
 
     cfg = _write_config(tmp_path, steps=20)
     assert main(["simulate", "--config", str(cfg), "--snapshot-at", "5"]) == 0
     snap = tmp_path / "out" / "snapshot-step5.json"
     payload = experiment.read_snapshot(snap)
-    # a version-1 file, checksum and all, as the previous sampler wrote it
-    monkeypatch.setattr(experiment, "SNAPSHOT_VERSION", 1)
+    # a version-2 file, checksum and all, as the K-wide score draws wrote it
+    monkeypatch.setattr(experiment, "SNAPSHOT_VERSION", 2)
     experiment.write_snapshot(snap, payload)
     monkeypatch.undo()
     capsys.readouterr()
     assert main(["resume", "--snapshot", str(snap)]) == 3
     err = capsys.readouterr().err
-    assert "version 1" in err and "expected 2" in err
+    assert "version 2" in err and "expected 3" in err
+
+
+@pytest.mark.parametrize(
+    "key,index,value", [("total_hits", 1, 0), ("seen_buckets", 0, [])]
+)
+def test_resume_coverage_state_disagreeing_with_corpus_exits_3(
+    tmp_path, capsys, key, index, value
+):
+    from seedsched.experiment import read_snapshot, write_snapshot
+
+    cfg = _write_config(tmp_path, schedulers=["sample"], steps=20)
+    assert main(["simulate", "--config", str(cfg), "--snapshot-at", "5"]) == 0
+    snap = tmp_path / "out" / "snapshot-step5.json"
+    payload = read_snapshot(snap)
+    payload["runners"][0]["state"]["scheduler"][key][index] = value
+    write_snapshot(snap, payload)  # the checksum still matches
+    capsys.readouterr()
+    assert main(["resume", "--snapshot", str(snap)]) == 3
+    assert "seen_buckets" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

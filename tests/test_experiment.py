@@ -7,7 +7,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from seedsched import ConfigError, SnapshotError, load_config, parse_config, run_experiment
+from seedsched import (
+    CfgTarget,
+    ConfigError,
+    Edge,
+    FuzzCampaignRunner,
+    SnapshotError,
+    load_config,
+    make_scheduler,
+    parse_config,
+    run_experiment,
+)
 from seedsched.experiment import (
     SUMMARY_COLUMNS,
     TRIAL_LOG_COLUMNS,
@@ -383,8 +393,6 @@ class TestSnapshotResume:
             ("rare-plus", lambda s: s["corpus"][0].__setitem__("features", "ab"), "features"),
             ("uniform", lambda s: s["corpus"][0].__setitem__("times_fuzzed", "x"), "times_fuzzed"),
             ("uniform", lambda s: s["corpus"].__setitem__(0, "arm0"), "corpus"),
-            ("rare-plus", lambda s: s["favored"].__setitem__("7", ["arm0", 1.0]), "favored"),
-            ("rare-plus", lambda s: s["favored"].__setitem__("0", ["nope", 1.0]), "favored"),
             ("rare-plus", lambda s: s.__setitem__("alpha", ["1.0"] * 3), "alpha"),
             ("rare-plus", lambda s: s["alpha"].__setitem__(0, "inf"), "alpha"),
             ("sample", lambda s: s["beta"].__setitem__(1, "nan"), "beta"),
@@ -403,6 +411,91 @@ class TestSnapshotResume:
         write_snapshot(result.snapshot_path, payload)
         with pytest.raises(SnapshotError, match=needle):
             resume_experiment(result.snapshot_path)
+
+    @pytest.mark.parametrize("scheduler", ["rare-plus", "uniform"])
+    @pytest.mark.parametrize(
+        "change,needle",
+        [
+            # a hit feature with no bucket, and a bucket on an unhit feature
+            (lambda s: s["seen_buckets"].__setitem__(0, []), "seen_buckets"),
+            (lambda s: s["total_hits"].__setitem__(0, 0), "seen_buckets"),
+            # consistent totals, but a corpus input covers an unhit feature
+            (
+                lambda s: (s["total_hits"].__setitem__(0, 0), s["seen_buckets"].__setitem__(0, [])),
+                "corpus",
+            ),
+        ],
+        ids=["hits-without-buckets", "buckets-without-hits", "corpus-feature-unhit"],
+    )
+    def test_coverage_state_disagreeing_with_corpus_is_snapshot_error(
+        self, tmp_path, scheduler, change, needle
+    ):
+        cfg = parse_config(
+            _base_config(tmp_path / "out", schedulers=[scheduler], trials=1, steps=20)
+        )
+        result = run_experiment(cfg, snapshot_at=10)
+        payload = read_snapshot(result.snapshot_path)
+        change(payload["runners"][0]["state"]["scheduler"])
+        write_snapshot(result.snapshot_path, payload)
+        with pytest.raises(SnapshotError, match=needle):
+            resume_experiment(result.snapshot_path)
+
+    @pytest.mark.parametrize("name", ["rare-minus", "rare-plus", "sample", "greedy"])
+    def test_favored_table_is_rebuilt_from_the_corpus(self, name):
+        # a chain whose inputs' costs spread widely: a later, cheaper input
+        # displaces the incumbents of every feature it covers
+        edges = [
+            Edge(i, frozenset({i - 1}) if i else frozenset(), 0.5, (0.1, 10.0), (1, 1000))
+            for i in range(30)
+        ]
+        target = CfgTarget(tuple(edges))
+        straight = FuzzCampaignRunner(target, make_scheduler(name, 30, 5), 200, 5)
+        straight.run_to(60)
+        state = json.loads(json.dumps(straight.state_dict()))
+        assert "favored" not in state["scheduler"]
+        resumed = FuzzCampaignRunner(target, make_scheduler(name, 30, 5), 200, 5)
+        resumed.load_state(state)
+        table = straight.scheduler.favored.entries
+        assert resumed.scheduler.favored.entries == table
+        corpus = straight.scheduler.insertion_order
+        first = {
+            k: next(i for i in corpus if k in straight.scheduler.corpus[i].features)
+            for k in table
+        }
+        assert any(table[k][0] != first[k] for k in table), "no incumbent was displaced"
+        straight.run_to()
+        resumed.run_to()
+        assert resumed.take_log().actions.tolist() == straight.take_log().actions[60:].tolist()
+
+    @pytest.mark.parametrize("name", ["rare-minus", "rare-plus", "sample"])
+    def test_resume_on_a_wide_dag_with_a_partial_mask(self, tmp_path, name):
+        gen = np.random.default_rng(2024)
+        edges = [{"id": 0, "p": 0.5}] + [
+            {"id": i, "prereqs": [int(gen.integers(0, i))], "p": float(gen.uniform(0.01, 0.05))}
+            for i in range(1, 240)
+        ]
+        cfg = parse_config(
+            _base_config(
+                tmp_path / "out",
+                environment={"edges": edges},
+                schedulers=[name],
+                trials=2,
+                steps=160,
+            )
+        )
+        result = run_experiment(cfg, snapshot_at=70)
+        for runner in read_snapshot(result.snapshot_path)["runners"]:
+            covered = set().union(*(r["features"] for r in runner["state"]["scheduler"]["corpus"]))
+            assert 1 < len(covered) < len(edges)  # only some features are selectable
+        resume_experiment(result.snapshot_path)
+        for trial in (0, 1):
+            full = (tmp_path / "out" / trial_csv_name(name, trial)).read_text().splitlines()
+            suffix = (
+                (tmp_path / "out" / trial_csv_name(name, trial, resumed=True))
+                .read_text()
+                .splitlines()
+            )
+            assert len(suffix) == 91 and suffix[1:] == full[71:]
 
     @pytest.mark.parametrize("payload", [[], {"config": {}}, {"config": {}, "runners": 3}])
     def test_malformed_payload_is_snapshot_error(self, tmp_path, payload):

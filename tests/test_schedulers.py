@@ -94,6 +94,16 @@ def test_observe_retains_interesting_once():
     assert len(sched.corpus) == 1
 
 
+def test_favored_table_offers_only_corpus_inputs():
+    # a second record under a retained id is not retained, so it must not
+    # enter the favored table either: the table is a function of the corpus
+    sched = TScheduler(3, "sample", seed=0)
+    sched.observe(_record("a", {0}, size=10), _one_hot(3, {0}), True)
+    sched.observe(_record("a", {0, 1}, size=1), _one_hot(3, {0, 1}), True)
+    assert sched.favored.entries == {0: ("a", 10.0)}
+    assert sched.corpus["a"].features == frozenset({0})
+
+
 def test_observe_rejects_wrong_length():
     sched = TScheduler(3, "sample", seed=0)
     with pytest.raises(DimensionMismatch):
