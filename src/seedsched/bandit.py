@@ -102,10 +102,31 @@ def compute_reward(coverage: np.ndarray, interesting: bool) -> dict[int, int]:
     return dict.fromkeys(cov.nonzero()[0].tolist(), 1 if interesting else 0)
 
 
+# reward dicts at least this long are applied with one indexed add per
+# array; shorter ones (every arms step) cost less through the scalar loop
+_INDEXED_UPDATE_MIN = 32
+
+
 def update_posterior(state: PosteriorState, reward: dict[int, int]) -> PosteriorState:
     """Conjugate update: alpha_k += r_k, beta_k += 1 - r_k per present feature."""
     k_size = state.k_size
     alpha, beta = state.alpha, state.beta
+    n = len(reward)
+    if n >= _INDEXED_UPDATE_MIN:
+        rewards = list(reward.values())
+        ids = np.array(list(reward))
+        if (
+            rewards.count(0) + rewards.count(1) == n
+            and ids.dtype.kind in "iu"
+            and ids.min() >= 0
+            and ids.max() < k_size
+        ):
+            # dict keys are distinct, so each feature gets exactly one add
+            r = np.fromiter(rewards, np.float64, n)
+            alpha[ids] += r
+            beta[ids] += 1.0 - r
+            return state
+    # the scalar loop also raises on the first invalid entry
     for k, r in reward.items():
         if not 0 <= k < k_size:
             raise DimensionMismatch(f"feature index {k} outside [0, {k_size})")

@@ -98,7 +98,14 @@ class InputRecord:
     times_fuzzed: int = 0
 
     def __post_init__(self) -> None:
-        self.features = frozenset(int(k) for k in self.features)
+        # A frozenset of ints is kept as given: rebuilding it element by
+        # element grows its table in steps and leaves it up to twice the size
+        # of the copy a union or frozenset(set) makes, and a DAG child's set
+        # holds every feature of its ancestors.
+        features = frozenset(self.features)
+        if not set(map(type, features)) <= {int}:
+            features = frozenset(map(int, features))
+        self.features = features
         if self.size < 0:
             raise ValueError("size must be non-negative")
         if self.exec_time < 0:
@@ -157,12 +164,19 @@ def absorb(global_cov: GlobalCoverage, coverage: np.ndarray) -> GlobalCoverage:
     hit = cov.nonzero()[0]
     # a negative count is nonzero, so checking the gathered counts suffices
     counts = cov[hit].tolist()
-    if any(c < 0 for c in counts):
+    if counts and min(counts) < 0:
         raise ValueError("hit counts must be non-negative")
     global_cov.total_hits += cov if cov.dtype == np.int64 else cov.astype(np.int64)
     seen = global_cov.seen_buckets
-    for k, hits in zip(hit.tolist(), counts):
-        seen[k].add(bucketize(int(hits)))
+    if counts and counts.count(counts[0]) == len(counts):
+        # every count equal, as in the runners' one-hot maps: one bucket
+        # for all hit features, and no per-feature bucketize call
+        label = bucketize(int(counts[0]))
+        for k in hit.tolist():
+            seen[k].add(label)
+    else:
+        for k, c in zip(hit.tolist(), counts):
+            seen[k].add(bucketize(int(c)))
     return global_cov
 
 

@@ -111,6 +111,31 @@ def test_update_posterior_rejects_bad_input():
         update_posterior(state, {0: 2})
 
 
+def test_long_reward_dicts_update_like_the_scalar_loop():
+    # 40 entries take the indexed-add path; mixed rewards, bools and 1.0 included
+    ids = list(range(0, 120, 3))
+    reward = {k: [1, 0, True, 1.0][i % 4] for i, k in enumerate(ids)}
+    state = init_posterior(130)
+    expect_a, expect_b = state.alpha.copy(), state.beta.copy()
+    for k, r in reward.items():
+        expect_a[k] += r
+        expect_b[k] += 1 - r
+    update_posterior(state, reward)
+    assert state.alpha.tolist() == expect_a.tolist()
+    assert state.beta.tolist() == expect_b.tolist()
+
+
+@pytest.mark.parametrize(
+    "bad,error",
+    [({200: 1}, DimensionMismatch), ({-1: 0}, DimensionMismatch), ({5: 2}, ValueError),
+     ({6: "1"}, ValueError), ({1.5: 1}, IndexError)],
+)
+def test_long_reward_dicts_reject_bad_input(bad, error):
+    # the same errors as a short dict: the scalar loop reports the entry
+    with pytest.raises(error):
+        update_posterior(init_posterior(100), {**dict.fromkeys(range(40), 1), **bad})
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_counting_invariant(data):

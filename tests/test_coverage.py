@@ -63,6 +63,15 @@ class TestClassify:
         assert classify_interesting(gc, np.array([3, 0]), policy="new-bucket") is True
         assert classify_interesting(gc, np.array([2, 0]), policy="new-bucket") is False
 
+    def test_absorb_records_each_feature_bucket(self):
+        gc = GlobalCoverage.empty(5)
+        absorb(gc, np.array([1, 5, 0, 1, 200]))
+        absorb(gc, np.array([3, 5, 0, 0, 0]))
+        assert gc.total_hits.tolist() == [4, 10, 0, 1, 200]
+        assert gc.seen_buckets == [{1, 3}, {4}, set(), {1}, {128}]
+        with pytest.raises(ValueError):
+            absorb(gc, np.array([1, -1, 0, 0, 0]))
+
     def test_new_bucket_subsumes_new_feature(self):
         gc = GlobalCoverage.empty(2)
         assert classify_interesting(gc, np.array([0, 1]), policy="new-bucket") is True
@@ -113,6 +122,15 @@ def test_input_record_weight_and_validation():
         InputRecord("b", size=-1, exec_time=1.0, features=frozenset())
     with pytest.raises(ValueError):
         InputRecord("c", size=1, exec_time=-0.5, features=frozenset())
+
+
+def test_input_record_features_are_a_frozenset_of_ints():
+    given = frozenset(range(300)) | {400}
+    assert InputRecord("a", size=1, exec_time=1.0, features=given).features is given
+    for raw in (np.array([3, 1, 3]), [np.int64(3), 1], {3, 1}):
+        feats = InputRecord("b", size=1, exec_time=1.0, features=raw).features
+        assert feats == frozenset({1, 3})
+        assert type(feats) is frozenset and all(type(k) is int for k in feats)
 
 
 class TestFavored:
