@@ -1,9 +1,16 @@
 """Coverage maps, interestingness, and the favored-input table.
 
-A coverage map is a vector of non-negative hit counts over a fixed feature
-space of size K.  Global coverage accumulates hit totals plus the set of
-hit-count buckets seen per feature, which backs the two interestingness
-policies:
+Coverage comes in one of two forms over a fixed feature space of size K:
+
+* a dense map, a length-K vector of non-negative hit counts;
+* an id set, a ``frozenset`` of the int ids of the covered features, each
+  hit once.  It stands for the map with a 1 at each id and 0 elsewhere,
+  gives the same results, and costs O(number of ids) instead of O(K).  An
+  id outside [0, K) raises :class:`DimensionMismatch`.
+
+:func:`classify_interesting` and :func:`absorb` take either form.  Global
+coverage accumulates hit totals plus the set of hit-count buckets seen per
+feature, which backs the two interestingness policies:
 
 * ``new-feature``: an input is interesting iff it hits a feature whose
   global total was zero;
@@ -143,10 +150,31 @@ def _check_coverage(k_size: int, coverage: np.ndarray) -> np.ndarray:
     return cov
 
 
+def _check_ids(k_size: int, features: frozenset[int]) -> None:
+    # Python's min and max, so a negative id is caught before numpy
+    # indexing would wrap it around
+    if features and (min(features) < 0 or max(features) >= k_size):
+        raise DimensionMismatch(f"covered feature ids must lie in [0, {k_size})")
+
+
 def classify_interesting(
-    global_cov: GlobalCoverage, coverage: np.ndarray, policy: str = "new-feature"
+    global_cov: GlobalCoverage,
+    coverage: np.ndarray | frozenset[int],
+    policy: str = "new-feature",
 ) -> bool:
-    """Decide whether a coverage map exposes behavior not seen globally."""
+    """Decide whether coverage (a dense map or an id set) exposes behavior
+    not seen globally."""
+    if isinstance(coverage, frozenset):
+        _check_ids(global_cov.k_size, coverage)
+        if policy == "new-feature":
+            n = len(coverage)
+            ids = np.fromiter(coverage, np.intp, n)
+            return int(np.count_nonzero(global_cov.total_hits[ids])) < n
+        if policy == "new-bucket":
+            # every id is hit once, which falls in bucket 1
+            seen = global_cov.seen_buckets
+            return any(1 not in seen[k] for k in coverage)
+        raise ValueError(f"unknown interestingness policy {policy!r}")
     cov = _check_coverage(global_cov.k_size, coverage)
     hit = np.flatnonzero(cov)
     if policy == "new-feature":
@@ -158,8 +186,18 @@ def classify_interesting(
     raise ValueError(f"unknown interestingness policy {policy!r}")
 
 
-def absorb(global_cov: GlobalCoverage, coverage: np.ndarray) -> GlobalCoverage:
-    """Fold one execution's hit counts into the global accumulator."""
+def absorb(
+    global_cov: GlobalCoverage, coverage: np.ndarray | frozenset[int]
+) -> GlobalCoverage:
+    """Fold one execution's hit counts (a dense map or an id set) into the
+    global accumulator.  Coverage is checked before anything changes."""
+    if isinstance(coverage, frozenset):
+        _check_ids(global_cov.k_size, coverage)
+        global_cov.total_hits[np.fromiter(coverage, np.intp, len(coverage))] += 1
+        seen = global_cov.seen_buckets
+        for k in coverage:
+            seen[k].add(1)
+        return global_cov
     cov = _check_length(global_cov.k_size, coverage)
     hit = cov.nonzero()[0]
     # a negative count is nonzero, so checking the gathered counts suffices

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import repeat
 from pathlib import Path
 from typing import Any
 
@@ -309,12 +309,9 @@ def write_trial_csv(path: Path, log: TrialLog) -> None:
     def ints(column) -> list[int]:
         return np.asarray(column, dtype=np.int64).tolist()
 
-    n = len(log)
     # one conversion per column, not per cell
     rows = zip(
         ints(log.steps),
-        repeat(log.scheduler, n),
-        repeat(log.trial, n),
         ints(log.actions),
         ints(log.interesting),
         map(repr, np.asarray(log.regret, dtype=np.float64).tolist()),
@@ -323,10 +320,14 @@ def write_trial_csv(path: Path, log: TrialLog) -> None:
         ints(log.select_ops),
         ints(log.update_ops),
     )
+    # one %-template per row; the scheduler and trial cells are the same on
+    # every row, so the csv module quotes them once
+    fixed = io.StringIO()
+    csv.writer(fixed, lineterminator="").writerow((log.scheduler, log.trial))
+    row = "%d," + fixed.getvalue().replace("%", "%%") + ",%d,%d,%s,%d,%d,%d,%d\r\n"
     with path.open("w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRIAL_LOG_COLUMNS)
-        writer.writerows(rows)
+        csv.writer(fh).writerow(TRIAL_LOG_COLUMNS)
+        fh.writelines(map(row.__mod__, rows))
 
 
 def write_summary_csv(path: Path, rows: list[dict[str, Any]]) -> None:

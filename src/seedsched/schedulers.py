@@ -3,8 +3,12 @@
 Every scheduler speaks the same two-call protocol:
 
 * ``observe(record, coverage, interesting)`` feeds back one execution:
-  the coverage map it produced and whether it was classified interesting.
-  Interesting inputs are retained in the corpus.
+  the coverage it produced and whether it was classified interesting.
+  Coverage is either a dense length-K hit-count map or a ``frozenset`` of
+  covered feature ids, each hit once (see :mod:`seedsched.coverage`); both
+  forms of the same execution update the scheduler identically, and the id
+  set costs O(number of ids) instead of O(K).  Interesting inputs are
+  retained in the corpus.
 * ``next()`` returns the id of the retained input to fuzz next and
   increments its ``times_fuzzed`` counter.
 
@@ -40,7 +44,7 @@ from .coverage import (
     selectable_features,
     update_favored,
 )
-from .errors import DimensionMismatch, EmptyCorpusError
+from .errors import EmptyCorpusError
 from .rng import SeededRng
 
 __all__ = [
@@ -122,12 +126,14 @@ class Scheduler:
 
     # -- feedback ------------------------------------------------------
 
-    def observe(self, record: InputRecord, coverage: np.ndarray, interesting: bool) -> None:
-        cov = np.asarray(coverage)
-        if cov.shape != (self.k_size,):
-            raise DimensionMismatch("coverage map length must equal k_size")
-        touched = self._learn(record, cov, interesting)
+    def observe(
+        self, record: InputRecord, coverage: np.ndarray | frozenset[int], interesting: bool
+    ) -> None:
+        cov = coverage if isinstance(coverage, frozenset) else np.asarray(coverage)
+        # absorb rejects bad coverage before it changes anything, so the
+        # posterior is only updated from coverage that was accepted
         absorb(self.global_coverage, cov)
+        touched = self._learn(record, cov, interesting)
         if interesting and record.id not in self.corpus:
             self.corpus[record.id] = record
             self.insertion_order.append(record.id)
@@ -136,10 +142,12 @@ class Scheduler:
         self.last_update_ops = touched
         self.total_update_ops += touched
 
-    def _learn(self, record: InputRecord, cov: np.ndarray, interesting: bool) -> int:
+    def _learn(
+        self, record: InputRecord, cov: np.ndarray | frozenset[int], interesting: bool
+    ) -> int:
         """Posterior update hook; returns the number of features ``cov``
         touches.  Baselines without a posterior only count them."""
-        return int(np.count_nonzero(cov))
+        return len(cov) if isinstance(cov, frozenset) else int(np.count_nonzero(cov))
 
     def _retain(self, record: InputRecord) -> None:
         """Favored-table hook for schedulers that keep one; called once per
@@ -184,6 +192,12 @@ class Scheduler:
         }
 
     def load_state(self, state: dict[str, Any]) -> None:
+        """Restore a :meth:`state_dict`.  Every field is checked before any
+        is assigned, so a rejected state leaves the scheduler as it was."""
+        vars(self).update(self._loaded_fields(state))
+
+    def _loaded_fields(self, state: dict[str, Any]) -> dict[str, Any]:
+        """Attribute values ``state`` restores; raises on any bad field."""
         if state.get("name") != self.name or state.get("k_size") != self.k_size:
             raise ValueError("scheduler state does not match this scheduler")
         k_size = self.k_size
@@ -217,15 +231,20 @@ class Scheduler:
             "corpus",
             "inputs whose features all have 'total_hits' > 0",
         )
-        self.observations = _state_int(state, "observations")
-        self.total_select_ops = _state_int(state, "total_select_ops")
-        self.total_update_ops = _state_int(state, "total_update_ops")
-        self.rng.load_state(state["rng"])
-        self.corpus = corpus
-        self.insertion_order = list(corpus)
-        self.global_coverage = GlobalCoverage(
-            np.array(hits, dtype=np.int64), [set(b) for b in buckets]
-        )
+        # a fresh generator, so a rejected rng state leaves self.rng alone
+        rng = SeededRng(self.seed, stream=0)
+        rng.load_state(state["rng"])
+        return {
+            "observations": _state_int(state, "observations"),
+            "total_select_ops": _state_int(state, "total_select_ops"),
+            "total_update_ops": _state_int(state, "total_update_ops"),
+            "rng": rng,
+            "corpus": corpus,
+            "insertion_order": list(corpus),
+            "global_coverage": GlobalCoverage(
+                np.array(hits, dtype=np.int64), [set(b) for b in buckets]
+            ),
+        }
 
 
 class _PosteriorScheduler(Scheduler):
@@ -235,28 +254,23 @@ class _PosteriorScheduler(Scheduler):
         super().__init__(k_size, seed)
         self.posterior: PosteriorState = init_posterior(k_size)
         self.favored = FavoredTable(k_size)
-        self._mask_entries = -1
-        self._mask = np.zeros(k_size, dtype=bool)
+        # selectable_features(self.favored), kept up to date by _retain
+        self._selectable = np.zeros(k_size, dtype=bool)
 
-    def _learn(self, record: InputRecord, cov: np.ndarray, interesting: bool) -> int:
-        # one scan gives both the reward dict of bandit.compute_reward and
-        # the touched count
-        hit = cov.nonzero()[0].tolist()
+    def _learn(
+        self, record: InputRecord, cov: np.ndarray | frozenset[int], interesting: bool
+    ) -> int:
+        # the reward dict of bandit.compute_reward, built from the covered ids
+        hit = cov if isinstance(cov, frozenset) else cov.nonzero()[0].tolist()
         bandit.update_posterior(self.posterior, dict.fromkeys(hit, 1 if interesting else 0))
         return len(hit)
 
     def _retain(self, record: InputRecord) -> None:
         update_favored(self.favored, record)
-
-    def _selectable(self) -> np.ndarray:
-        """``selectable_features(self.favored)``, rebuilt only when the table
-        has gained an entry; entries are replaced but never removed, so the
-        entry count is also the number of selectable features."""
-        entries = len(self.favored.entries)
-        if entries != self._mask_entries:
-            self._mask = selectable_features(self.favored)
-            self._mask_entries = entries
-        return self._mask
+        # table entries are replaced but never removed, so the selectable
+        # mask only gains the new input's features
+        features = record.features
+        self._selectable[np.fromiter(features, np.intp, len(features))] = True
 
     def _favored_input(self, feature: int) -> str:
         return self.favored.input_for(feature)
@@ -267,8 +281,8 @@ class _PosteriorScheduler(Scheduler):
         state["beta"] = [repr(float(v)) for v in self.posterior.beta]
         return state
 
-    def load_state(self, state: dict[str, Any]) -> None:
-        super().load_state(state)
+    def _loaded_fields(self, state: dict[str, Any]) -> dict[str, Any]:
+        fields = super()._loaded_fields(state)
         k_size = self.k_size
         for key in ("alpha", "beta"):
             values = state[key]
@@ -279,16 +293,19 @@ class _PosteriorScheduler(Scheduler):
                 key,
                 f"a list of {k_size} finite numbers",
             )
-        self.posterior = PosteriorState(
+        fields["posterior"] = PosteriorState(
             np.array([float(v) for v in state["alpha"]]),
             np.array([float(v) for v in state["beta"]]),
         )
         # the table follows from the corpus: replay the offers in the order
         # the inputs joined it
-        self.favored = FavoredTable(k_size)
-        for iid in self.insertion_order:
-            update_favored(self.favored, self.corpus[iid])
-        self._mask_entries = -1
+        favored = FavoredTable(k_size)
+        corpus = fields["corpus"]
+        for iid in fields["insertion_order"]:
+            update_favored(favored, corpus[iid])
+        fields["favored"] = favored
+        fields["_selectable"] = selectable_features(favored)
+        return fields
 
 
 class TScheduler(_PosteriorScheduler):
@@ -300,8 +317,7 @@ class TScheduler(_PosteriorScheduler):
         self.name = self.variant.value
 
     def _choose(self) -> tuple[str, int, int]:
-        mask = self._selectable()
-        action = bandit.select_action(self.posterior, self.variant, mask, self.rng)
+        action = bandit.select_action(self.posterior, self.variant, self._selectable, self.rng)
         # theta draws (K) + argmax scan (K), plus K psi draws or phi reads;
         # an upper bound, as only the selectable features are drawn for
         ops = 2 * self.k_size
@@ -319,8 +335,9 @@ class GreedyScheduler(_PosteriorScheduler):
         super().__init__(k_size, seed)
 
     def _choose(self) -> tuple[str, int, int]:
-        mask = self._selectable()
-        n_selectable = self._mask_entries
+        mask = self._selectable
+        # one entry per selectable feature
+        n_selectable = len(self.favored.entries)
         if not n_selectable:
             raise EmptyCorpusError("no selectable feature; seed the corpus first")
         alpha, beta = self.posterior.alpha, self.posterior.beta
@@ -367,9 +384,10 @@ class RoundRobinScheduler(Scheduler):
         state["cursor"] = self.cursor
         return state
 
-    def load_state(self, state: dict[str, Any]) -> None:
-        super().load_state(state)
-        self.cursor = _state_int(state, "cursor")
+    def _loaded_fields(self, state: dict[str, Any]) -> dict[str, Any]:
+        fields = super()._loaded_fields(state)
+        fields["cursor"] = _state_int(state, "cursor")
+        return fields
 
 
 SCHEDULER_NAMES = (

@@ -440,8 +440,6 @@ class FuzzCampaignRunner(_TrialRunner):
         # feature set -> undiscovered edges whose prerequisites it covers;
         # derived from `discovered`, so never snapshotted
         self._candidates: dict[frozenset[int], list[Edge]] = {}
-        # one buffer serves as the coverage map of every observation
-        self._coverage = np.zeros(target.k_size, dtype=np.int64)
         self._bootstrap()
 
     def _synth(self, features: frozenset[int], source: Edge, id_prefix: str) -> InputRecord:
@@ -457,12 +455,11 @@ class FuzzCampaignRunner(_TrialRunner):
         return rec
 
     def _observe(self, rec: InputRecord) -> bool:
-        cov = self._coverage
-        hit = np.fromiter(rec.features, np.intp, len(rec.features))
-        cov[hit] = 1
-        interesting = classify_interesting(self.scheduler.global_coverage, cov, self.policy)
-        self.scheduler.observe(rec, cov, interesting)
-        cov[hit] = 0
+        # an input covers each of its features once, so its feature set is
+        # its coverage, in the id-set form
+        features = rec.features
+        interesting = classify_interesting(self.scheduler.global_coverage, features, self.policy)
+        self.scheduler.observe(rec, features, interesting)
         return interesting
 
     def _bootstrap(self) -> None:

@@ -89,6 +89,63 @@ class TestClassify:
             classify_interesting(gc, np.array([1, -1]))
 
 
+class TestIdSetCoverage:
+    """A frozenset of covered ids stands for its one-hot map."""
+
+    @pytest.mark.parametrize("policy", ["new-feature", "new-bucket"])
+    def test_empty_set_is_boring_and_changes_nothing(self, policy):
+        gc = GlobalCoverage.empty(3)
+        absorb(gc, np.array([0, 2, 0]))
+        assert classify_interesting(gc, frozenset(), policy) is False
+        absorb(gc, frozenset())
+        assert gc.total_hits.tolist() == [0, 2, 0]
+        assert gc.seen_buckets == [set(), {2}, set()]
+
+    @pytest.mark.parametrize("ids", [{-1}, {0, -2}, {3}, {0, 1, 2, 7}])
+    def test_out_of_range_ids_rejected_before_any_change(self, ids):
+        gc = GlobalCoverage.empty(3)
+        absorb(gc, frozenset({0}))
+        for policy in ("new-feature", "new-bucket"):
+            with pytest.raises(DimensionMismatch):
+                classify_interesting(gc, frozenset(ids), policy)
+        with pytest.raises(DimensionMismatch):
+            absorb(gc, frozenset(ids))
+        assert gc.total_hits.tolist() == [1, 0, 0]
+        assert gc.seen_buckets == [{1}, set(), set()]
+
+    def test_unknown_policy_rejected(self):
+        with pytest.raises(ValueError, match="weird"):
+            classify_interesting(GlobalCoverage.empty(2), frozenset({1}), policy="weird")
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_the_one_hot_map(self, seed):
+        # DAG-shaped records: each extends an earlier one by a few ids; dense
+        # maps with counts above 1 first fill buckets other than bucket 1
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(5, 300))
+        sparse, dense = GlobalCoverage.empty(k), GlobalCoverage.empty(k)
+        for _ in range(3):
+            counts = rng.integers(0, 5, k) * (rng.random(k) < 0.2)
+            absorb(sparse, counts)
+            absorb(dense, counts)
+        records = [frozenset()]
+        for _ in range(200):
+            parent = records[int(rng.integers(len(records)))]
+            ids = parent | set(rng.integers(0, k, int(rng.integers(0, 4))).tolist())
+            records.append(ids)
+            cov = np.zeros(k, dtype=np.int64)
+            cov[list(ids)] = 1
+            for policy in ("new-feature", "new-bucket"):
+                assert classify_interesting(sparse, ids, policy) is classify_interesting(
+                    dense, cov, policy
+                )
+            if rng.random() < 0.5:
+                absorb(sparse, ids)
+                absorb(dense, cov)
+        assert sparse.total_hits.tolist() == dense.total_hits.tolist()
+        assert sparse.seen_buckets == dense.seen_buckets
+
+
 def test_absorb_accumulates_demo_walkthrough_totals():
     # six two-integer inputs against the four-feature branch demo; the
     # per-feature totals after all of them are a fixed point of the demo

@@ -187,12 +187,13 @@ def _row_by_row_csv(path, log):
             )
 
 
+@pytest.mark.parametrize("scheduler", ["rare-plus", 'a "quoted", 100% name'])
 @pytest.mark.parametrize("n", [0, 1, 7, 2500])
-def test_trial_csv_matches_a_row_by_row_writer(tmp_path, n):
+def test_trial_csv_matches_a_row_by_row_writer(tmp_path, n, scheduler):
     regrets = [0.1, 1e-17, 0.0, 0.19999999999999996, 1.0, 2.5e-300, 0.30000000000000004]
     rng = np.random.default_rng(n)
     log = TrialLog(
-        scheduler="rare-plus",
+        scheduler=scheduler,
         trial=3,
         steps=np.arange(41, 41 + n, dtype=np.int64),
         actions=rng.integers(0, 2000, n),

@@ -14,9 +14,11 @@ from seedsched import (
     SCHEDULER_NAMES,
     TScheduler,
     UniformScheduler,
+    classify_interesting,
     compute_reward,
     init_posterior,
     make_scheduler,
+    selectable_features,
     update_posterior,
 )
 
@@ -108,6 +110,56 @@ def test_observe_rejects_wrong_length():
     sched = TScheduler(3, "sample", seed=0)
     with pytest.raises(DimensionMismatch):
         sched.observe(_record("a", {0}), np.array([1, 0]), True)
+
+
+@pytest.mark.parametrize("policy", ["new-feature", "new-bucket"])
+@pytest.mark.parametrize("name", SCHEDULER_NAMES)
+def test_id_set_observe_matches_the_one_hot_map(name, policy):
+    # two schedulers run the same seeded DAG-shaped records, one fed each
+    # input's id set and the other its one-hot map
+    rng = np.random.default_rng(sum(map(ord, name + policy)))
+    k = 60
+    by_ids, by_map = make_scheduler(name, k, seed=4), make_scheduler(name, k, seed=4)
+    feats = frozenset({int(rng.integers(k))})
+    for i in range(150):
+        if i and rng.random() < 0.7:
+            iid = by_ids.next()
+            assert by_map.next() == iid
+            feats = by_ids.corpus[iid].features
+        if rng.random() < 0.5:
+            feats = feats | set(rng.integers(0, k, int(rng.integers(1, 4))).tolist())
+        rec = _record(f"r{i}", feats, size=int(rng.integers(1, 50)))
+        cov = _one_hot(k, feats)
+        verdict = classify_interesting(by_ids.global_coverage, feats, policy)
+        assert verdict is classify_interesting(by_map.global_coverage, cov, policy)
+        by_ids.observe(rec, feats, verdict)
+        by_map.observe(rec, cov, verdict)
+        assert by_ids.last_update_ops == by_map.last_update_ops == len(feats)
+    assert by_ids.state_dict() == by_map.state_dict()
+    if hasattr(by_ids, "favored"):
+        assert by_ids.favored.entries == by_map.favored.entries
+        assert by_ids._selectable.tolist() == selectable_features(by_ids.favored).tolist()
+
+
+def test_observe_rejects_out_of_range_ids_before_any_change():
+    sched = TScheduler(3, "sample", seed=0)
+    _seed_arm(sched, 3, 0)
+    before = sched.state_dict()
+    for ids in ({-1}, {0, 3}):
+        with pytest.raises(DimensionMismatch):
+            sched.observe(_record("x", {0}), frozenset(ids), True)
+    assert sched.state_dict() == before
+
+
+def test_empty_id_set_touches_nothing():
+    sched = TScheduler(3, "rare-plus", seed=0)
+    _seed_arm(sched, 3, 1)
+    before = sched.state_dict()
+    sched.observe(_record("e", set()), frozenset(), False)
+    after = sched.state_dict()
+    assert sched.last_update_ops == 0
+    assert after.pop("observations") == before.pop("observations") + 1
+    assert after == before
 
 
 def test_conservation_alpha_beta_vs_hits():
@@ -258,3 +310,37 @@ class TestSnapshots:
             GreedyScheduler(3, seed=0).load_state(state)
         with pytest.raises(ValueError):
             TScheduler(4, "sample", seed=0).load_state(state)
+
+
+def _visible_state(sched):
+    """Everything a scheduler's behaviour depends on, comparable with ==."""
+    state = sched.state_dict()
+    if hasattr(sched, "favored"):
+        state["favored"] = dict(sched.favored.entries)
+    return state
+
+
+@pytest.mark.parametrize(
+    "name,change",
+    [
+        ("sample", lambda s: s["alpha"].__setitem__(0, "inf")),
+        ("rare-plus", lambda s: s["beta"].__setitem__(2, None)),
+        ("greedy", lambda s: s.__setitem__("alpha", s["alpha"][:2])),
+        ("round-robin", lambda s: s.__setitem__("total_update_ops", -1)),
+        ("round-robin", lambda s: s.__setitem__("cursor", "1")),
+        ("uniform", lambda s: s.__setitem__("rng", {"bit_generator": "MT19937"})),
+        ("rare-minus", lambda s: s.pop("total_select_ops")),
+    ],
+    ids=["alpha-inf", "beta-none", "alpha-short", "ops-negative", "cursor-str", "rng", "missing"],
+)
+def test_rejected_load_state_leaves_the_scheduler_fresh(name, change):
+    source = make_scheduler(name, 3, seed=1)
+    for k in range(3):
+        _seed_arm(source, 3, k, iid=f"a{k}")
+    source.next()
+    state = source.state_dict()
+    change(state)
+    target = make_scheduler(name, 3, seed=2)
+    with pytest.raises((KeyError, TypeError, ValueError)):
+        target.load_state(state)
+    assert _visible_state(target) == _visible_state(make_scheduler(name, 3, seed=2))
