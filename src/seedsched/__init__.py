@@ -18,12 +18,10 @@ from .bandit import (
     update_posterior,
 )
 from .coverage import (
-    BUCKET_LABELS,
     FavoredTable,
     GlobalCoverage,
     InputRecord,
     absorb,
-    bucketize,
     classify_interesting,
     selectable_features,
     update_favored,
@@ -83,12 +81,10 @@ __all__ = [
     "select_action",
     "update_posterior",
     # coverage
-    "BUCKET_LABELS",
     "FavoredTable",
     "GlobalCoverage",
     "InputRecord",
     "absorb",
-    "bucketize",
     "classify_interesting",
     "selectable_features",
     "update_favored",

@@ -74,7 +74,7 @@ SUMMARY_COLUMNS = (
     "mwu_p_vs_baseline",
 )
 
-SNAPSHOT_VERSION = 3
+SNAPSHOT_VERSION = 4
 
 _CONFIG_KEYS = {
     "environment",

@@ -3,14 +3,12 @@
 Every scheduler speaks the same two-call protocol:
 
 * ``observe(record, coverage, interesting)`` feeds back one execution:
-  the coverage it produced and whether it was classified interesting.
-  Coverage is either a dense length-K hit-count map or a ``frozenset`` of
-  covered feature ids, each hit once (see :mod:`seedsched.coverage`); both
-  forms of the same execution update the scheduler identically, and the id
-  set costs O(number of ids) instead of O(K).  Interesting inputs are
-  retained in the corpus.
-* ``next()`` returns the id of the retained input to fuzz next and
-  increments its ``times_fuzzed`` counter.
+  the ``frozenset`` of feature ids it covered (see
+  :mod:`seedsched.coverage`) and whether it was classified interesting.
+  Interesting inputs are retained in the corpus.  The coverage and, for an
+  input about to be retained, its features are checked before anything
+  changes.
+* ``next()`` returns the id of the retained input to fuzz next.
 
 The bandit family (``rare-minus``, ``rare-plus``, ``sample``) keeps a Beta
 posterior per feature, updates it on every observation whether or not the
@@ -36,10 +34,10 @@ import numpy as np
 from . import bandit
 from .bandit import PosteriorState, Variant, init_posterior
 from .coverage import (
-    BUCKET_LABELS,
     FavoredTable,
     GlobalCoverage,
     InputRecord,
+    _check_ids,
     absorb,
     selectable_features,
     update_favored,
@@ -99,7 +97,6 @@ def _corpus_record(row: Any, k_size: int) -> InputRecord:
         size=_state_int(row, "size"),
         exec_time=exec_time,
         features=frozenset(features),
-        times_fuzzed=_state_int(row, "times_fuzzed"),
     )
 
 
@@ -126,15 +123,15 @@ class Scheduler:
 
     # -- feedback ------------------------------------------------------
 
-    def observe(
-        self, record: InputRecord, coverage: np.ndarray | frozenset[int], interesting: bool
-    ) -> None:
-        cov = coverage if isinstance(coverage, frozenset) else np.asarray(coverage)
+    def observe(self, record: InputRecord, coverage: frozenset[int], interesting: bool) -> None:
+        retain = interesting and record.id not in self.corpus
+        if retain:
+            _check_ids(self.k_size, record.features)
         # absorb rejects bad coverage before it changes anything, so the
         # posterior is only updated from coverage that was accepted
-        absorb(self.global_coverage, cov)
-        touched = self._learn(record, cov, interesting)
-        if interesting and record.id not in self.corpus:
+        absorb(self.global_coverage, coverage)
+        touched = self._learn(coverage, interesting)
+        if retain:
             self.corpus[record.id] = record
             self.insertion_order.append(record.id)
             self._retain(record)
@@ -142,12 +139,10 @@ class Scheduler:
         self.last_update_ops = touched
         self.total_update_ops += touched
 
-    def _learn(
-        self, record: InputRecord, cov: np.ndarray | frozenset[int], interesting: bool
-    ) -> int:
-        """Posterior update hook; returns the number of features ``cov``
+    def _learn(self, coverage: frozenset[int], interesting: bool) -> int:
+        """Posterior update hook; returns the number of features ``coverage``
         touches.  Baselines without a posterior only count them."""
-        return len(cov) if isinstance(cov, frozenset) else int(np.count_nonzero(cov))
+        return len(coverage)
 
     def _retain(self, record: InputRecord) -> None:
         """Favored-table hook for schedulers that keep one; called once per
@@ -157,7 +152,6 @@ class Scheduler:
 
     def next(self) -> str:
         input_id, action, ops = self._choose()
-        self.corpus[input_id].times_fuzzed += 1
         self.last_action = action
         self.last_select_ops = ops
         self.total_select_ops += ops
@@ -180,12 +174,10 @@ class Scheduler:
                     "size": r.size,
                     "exec_time": r.exec_time,
                     "features": sorted(r.features),
-                    "times_fuzzed": r.times_fuzzed,
                 }
                 for r in (self.corpus[i] for i in self.insertion_order)
             ],
-            "total_hits": [int(v) for v in self.global_coverage.total_hits],
-            "seen_buckets": [sorted(s) for s in self.global_coverage.seen_buckets],
+            "covered": sorted(self.global_coverage.covered),
             "observations": self.observations,
             "total_select_ops": self.total_select_ops,
             "total_update_ops": self.total_update_ops,
@@ -206,30 +198,19 @@ class Scheduler:
         records = [_corpus_record(row, k_size) for row in rows]
         corpus = {rec.id: rec for rec in records}
         _state_check(len(corpus) == len(records), "corpus", "a list of inputs with unique ids")
-        hits, buckets = state["total_hits"], state["seen_buckets"]
+        covered = state["covered"]
         _state_check(
-            isinstance(hits, list)
-            and len(hits) == k_size
-            and all(_is_int(h) and h >= 0 for h in hits),
-            "total_hits",
-            f"a list of {k_size} integers >= 0",
+            isinstance(covered, list)
+            and all(_is_int(f) and 0 <= f < k_size for f in covered)
+            and covered == sorted(set(covered)),
+            "covered",
+            f"a sorted list of distinct feature ids in [0, {k_size})",
         )
+        covered = set(covered)
         _state_check(
-            isinstance(buckets, list)
-            and len(buckets) == k_size
-            and all(isinstance(b, list) and set(b) <= set(BUCKET_LABELS) for b in buckets),
-            "seen_buckets",
-            f"a list of {k_size} lists of bucket labels",
-        )
-        _state_check(
-            all(bool(b) == (h > 0) for h, b in zip(hits, buckets)),
-            "seen_buckets",
-            "non-empty exactly where 'total_hits' is positive",
-        )
-        _state_check(
-            all(hits[f] > 0 for rec in records for f in rec.features),
+            all(rec.features <= covered for rec in records),
             "corpus",
-            "inputs whose features all have 'total_hits' > 0",
+            "inputs whose features are all in 'covered'",
         )
         # a fresh generator, so a rejected rng state leaves self.rng alone
         rng = SeededRng(self.seed, stream=0)
@@ -241,9 +222,7 @@ class Scheduler:
             "rng": rng,
             "corpus": corpus,
             "insertion_order": list(corpus),
-            "global_coverage": GlobalCoverage(
-                np.array(hits, dtype=np.int64), [set(b) for b in buckets]
-            ),
+            "global_coverage": GlobalCoverage(k_size, covered),
         }
 
 
@@ -257,13 +236,10 @@ class _PosteriorScheduler(Scheduler):
         # selectable_features(self.favored), kept up to date by _retain
         self._selectable = np.zeros(k_size, dtype=bool)
 
-    def _learn(
-        self, record: InputRecord, cov: np.ndarray | frozenset[int], interesting: bool
-    ) -> int:
+    def _learn(self, coverage: frozenset[int], interesting: bool) -> int:
         # the reward dict of bandit.compute_reward, built from the covered ids
-        hit = cov if isinstance(cov, frozenset) else cov.nonzero()[0].tolist()
-        bandit.update_posterior(self.posterior, dict.fromkeys(hit, 1 if interesting else 0))
-        return len(hit)
+        bandit.update_posterior(self.posterior, dict.fromkeys(coverage, 1 if interesting else 0))
+        return len(coverage)
 
     def _retain(self, record: InputRecord) -> None:
         update_favored(self.favored, record)

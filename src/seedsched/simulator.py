@@ -4,8 +4,8 @@ Two environments exercise the schedulers end to end:
 
 * :class:`BernoulliArmsEnv` is the classic stationary bandit: arm k pays an
   "interesting" observation with latent probability theta_star[k], and each
-  pull is fed back as a coverage map hitting exactly feature k.  Regret per
-  step is max(theta_star) minus the pulled arm's rate.
+  pull is fed back as the coverage {k}.  Regret per step is
+  max(theta_star) minus the pulled arm's rate.
 
 * :class:`CfgTarget` is a synthetic fuzzing target: a DAG of edges, each
   with prerequisite edges and a discovery probability.  Fuzzing an input
@@ -15,7 +15,9 @@ Two environments exercise the schedulers end to end:
   edges, otherwise the parent's own coverage is re-observed and classified
   non-interesting.
 
-Both run through the same runner protocol so a campaign can be snapshotted
+In both, an input covers each of its features once, so the coverage an
+execution feeds back is the executed input's ``features``.  Both run
+through the same runner protocol so a campaign can be snapshotted
 mid-flight and resumed to a byte-identical continuation.
 """
 
@@ -331,7 +333,7 @@ class _TrialRunner:
         return log
 
     def _covered(self) -> int:
-        return int(np.count_nonzero(self.scheduler.global_coverage.total_hits))
+        return len(self.scheduler.global_coverage.covered)
 
     def _row(self, action: int, interesting: bool, regret: float) -> None:
         s = self.scheduler
@@ -361,20 +363,31 @@ class _TrialRunner:
         }
 
     def load_state(self, state: dict[str, Any]) -> None:
+        """Restore a :meth:`state_dict`.  Every field, the scheduler's
+        included, is checked before any is assigned, so a rejected state
+        leaves the runner and its scheduler as they were."""
+        fields = self._loaded_fields(state)
+        vars(self.scheduler).update(fields.pop("scheduler"))
+        vars(self).update(fields)
+
+    def _loaded_fields(self, state: dict[str, Any]) -> dict[str, Any]:
+        """Attribute values ``state`` restores, with the scheduler's under
+        ``"scheduler"``; raises on any bad field."""
         if state.get("kind") != self.kind:
             raise ValueError("runner state does not match this environment kind")
-        self.steps = _state_int(state, "steps", low=1)
-        self.seed = _state_int(state, "seed")
-        self.step = _state_int(state, "step", high=self.steps)
-        self.env_rng.load_state(state["env_rng"])
-        self.scheduler.load_state(state["scheduler"])
-        self.rows = []
-
-
-def _one_hot(k_size: int, features) -> np.ndarray:
-    cov = np.zeros(k_size, dtype=np.int64)
-    cov[list(features)] = 1
-    return cov
+        steps = _state_int(state, "steps", low=1)
+        seed = _state_int(state, "seed")
+        # a fresh generator, so a rejected rng state leaves self.env_rng alone
+        env_rng = SeededRng(seed, stream=1)
+        env_rng.load_state(state["env_rng"])
+        return {
+            "steps": steps,
+            "seed": seed,
+            "step": _state_int(state, "step", high=steps),
+            "env_rng": env_rng,
+            "scheduler": self.scheduler._loaded_fields(state["scheduler"]),
+            "rows": [],
+        }
 
 
 class BernoulliTrialRunner(_TrialRunner):
@@ -390,22 +403,14 @@ class BernoulliTrialRunner(_TrialRunner):
             raise ValueError("scheduler feature space must match the number of arms")
         self.env = env
         self._best = max(env.theta_star)
-        # a pull of arm k covers exactly feature k; one buffer serves as the
-        # coverage map of every pull
-        self._coverage = np.zeros(env.k_size, dtype=np.int64)
         self._bootstrap()
 
-    def _observe_pull(self, rec: InputRecord, arm: int, hit: bool) -> None:
-        cov = self._coverage
-        cov[arm] = 1
-        self.scheduler.observe(rec, cov, hit)
-        cov[arm] = 0
-
     def _bootstrap(self) -> None:
-        # one fixed-cost input per arm, so every arm is selectable at step 1
+        # one fixed-cost input per arm, so every arm is selectable at step 1;
+        # a pull of arm k covers exactly feature k
         for k in range(self.env.k_size):
             rec = InputRecord(id=f"arm{k}", size=1, exec_time=1.0, features=frozenset({k}))
-            self._observe_pull(rec, k, True)
+            self.scheduler.observe(rec, rec.features, True)
 
     def _advance(self) -> None:
         iid = self.scheduler.next()
@@ -413,7 +418,7 @@ class BernoulliTrialRunner(_TrialRunner):
         (arm,) = rec.features
         p = self.env.theta_star[arm]
         hit = bool(self.env_rng.random() < p)
-        self._observe_pull(rec, arm, hit)
+        self.scheduler.observe(rec, rec.features, hit)
         self._row(arm, hit, self._best - p)
 
 
@@ -455,8 +460,6 @@ class FuzzCampaignRunner(_TrialRunner):
         return rec
 
     def _observe(self, rec: InputRecord) -> bool:
-        # an input covers each of its features once, so its feature set is
-        # its coverage, in the id-set form
         features = rec.features
         interesting = classify_interesting(self.scheduler.global_coverage, features, self.policy)
         self.scheduler.observe(rec, features, interesting)
@@ -518,8 +521,8 @@ class FuzzCampaignRunner(_TrialRunner):
         state["policy"] = self.policy
         return state
 
-    def load_state(self, state: dict[str, Any]) -> None:
-        super().load_state(state)
+    def _loaded_fields(self, state: dict[str, Any]) -> dict[str, Any]:
+        fields = super()._loaded_fields(state)
         discovered = state["discovered"]
         k_size = self.target.k_size
         if not isinstance(discovered, list) or not all(
@@ -530,10 +533,13 @@ class FuzzCampaignRunner(_TrialRunner):
             )
         if state["policy"] not in INTERESTING_POLICIES:
             raise ValueError(f"runner state 'policy' must be one of {INTERESTING_POLICIES}")
-        self.discovered = set(discovered)
-        self.synth_count = _state_int(state, "synth_count")
-        self.policy = state["policy"]
-        self._candidates = {}
+        fields.update(
+            discovered=set(discovered),
+            synth_count=_state_int(state, "synth_count"),
+            policy=state["policy"],
+            _candidates={},
+        )
+        return fields
 
 
 def run_bandit_trial(
@@ -611,8 +617,8 @@ class DemoRow:
     pbar: float
 
 
-def branch_demo_coverage(a: int, b: int) -> np.ndarray:
-    """Coverage of the demo program's four tracked nodes for input (a, b).
+def branch_demo_coverage(a: int, b: int) -> frozenset[int]:
+    """Covered ids of the demo program's four tracked nodes for input (a, b).
 
     The program is three nested guards: a > 10 reaches node line3, a > 20
     reaches line4, b > 10 then reaches line5; line6 is the exit and is hit
@@ -625,7 +631,7 @@ def branch_demo_coverage(a: int, b: int) -> np.ndarray:
         features.add(1)
         if b > 10:
             features.add(2)
-    return _one_hot(4, features)
+    return frozenset(features)
 
 
 def replay_branch_demo() -> list[DemoRow]:
@@ -658,7 +664,7 @@ def replay_branch_demo() -> list[DemoRow]:
     for t, (a, b) in enumerate(BRANCH_DEMO_INPUTS, start=1):
         cov = branch_demo_coverage(a, b)
         interesting = classify_interesting(sched.global_coverage, cov, "new-feature")
-        rec = InputRecord(id=f"t{t}", size=1, exec_time=1.0, features=frozenset(np.flatnonzero(cov).tolist()))
+        rec = InputRecord(id=f"t{t}", size=1, exec_time=1.0, features=cov)
         sched.observe(rec, cov, interesting)
         alphas = sched.posterior.alpha.copy()
         betas = sched.posterior.beta.copy()

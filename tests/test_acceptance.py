@@ -63,12 +63,6 @@ def report(capsys):
     return _report
 
 
-def _one_hot(k, features):
-    cov = np.zeros(k, dtype=np.int64)
-    cov[list(features)] = 1
-    return cov
-
-
 def test_criterion_01_demo_replay_exact(report):
     t0 = time.perf_counter()
     rows = replay_branch_demo()
@@ -303,7 +297,7 @@ def test_criterion_07_constant_scheduling_cost(report):
         sched = make_scheduler(name, k, 0)
         for i in range(corpus_size):
             rec = InputRecord(f"in{i}", size=1, exec_time=1.0, features=frozenset({i}))
-            sched.observe(rec, _one_hot(k, {i}), True)
+            sched.observe(rec, frozenset({i}), True)
         sched.next()
         return sched.last_select_ops
 
@@ -317,7 +311,7 @@ def test_criterion_07_constant_scheduling_cost(report):
     for i in range(200):
         feats = {i, i + 200, i + 400}  # fixed footprint: three features per input
         rec = InputRecord(f"f{i}", size=1, exec_time=1.0, features=frozenset(feats))
-        sched.observe(rec, _one_hot(k, feats), True)
+        sched.observe(rec, frozenset(feats), True)
         costs.append(sched.last_update_ops)
     update_var = overhead_summary(costs).variance
 

@@ -169,40 +169,49 @@ def test_resume_wrongly_typed_runner_state_exits_3(tmp_path, capsys, key, value)
     assert key in capsys.readouterr().err
 
 
-def test_resume_rejects_a_version_2_snapshot(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("version", [2, 3])
+def test_resume_rejects_an_earlier_snapshot_version(tmp_path, capsys, monkeypatch, version):
     from seedsched import experiment
 
     cfg = _write_config(tmp_path, steps=20)
     assert main(["simulate", "--config", str(cfg), "--snapshot-at", "5"]) == 0
     snap = tmp_path / "out" / "snapshot-step5.json"
     payload = experiment.read_snapshot(snap)
-    # a version-2 file, checksum and all, as the K-wide score draws wrote it
-    monkeypatch.setattr(experiment, "SNAPSHOT_VERSION", 2)
+    # an earlier version's file, checksum and all: version 2 drew scores for
+    # all K features, version 3 stored hit totals and seen buckets
+    monkeypatch.setattr(experiment, "SNAPSHOT_VERSION", version)
     experiment.write_snapshot(snap, payload)
     monkeypatch.undo()
     capsys.readouterr()
     assert main(["resume", "--snapshot", str(snap)]) == 3
     err = capsys.readouterr().err
-    assert "version 2" in err and "expected 3" in err
+    assert f"version {version}" in err and "expected 4" in err
 
 
 @pytest.mark.parametrize(
-    "key,index,value", [("total_hits", 1, 0), ("seen_buckets", 0, [])]
+    "change,needle",
+    [
+        (lambda c: c.remove(0), "corpus"),
+        (lambda c: c.reverse(), "covered"),
+        (lambda c: c.append(2), "covered"),
+        (lambda c: c.append(1), "covered"),
+    ],
+    ids=["corpus-feature-uncovered", "unsorted", "out-of-range", "repeated"],
 )
-def test_resume_coverage_state_disagreeing_with_corpus_exits_3(
-    tmp_path, capsys, key, index, value
-):
+def test_resume_coverage_state_disagreeing_with_corpus_exits_3(tmp_path, capsys, change, needle):
     from seedsched.experiment import read_snapshot, write_snapshot
 
     cfg = _write_config(tmp_path, schedulers=["sample"], steps=20)
     assert main(["simulate", "--config", str(cfg), "--snapshot-at", "5"]) == 0
     snap = tmp_path / "out" / "snapshot-step5.json"
     payload = read_snapshot(snap)
-    payload["runners"][0]["state"]["scheduler"][key][index] = value
+    covered = payload["runners"][0]["state"]["scheduler"]["covered"]
+    assert covered == [0, 1]
+    change(covered)
     write_snapshot(snap, payload)  # the checksum still matches
     capsys.readouterr()
     assert main(["resume", "--snapshot", str(snap)]) == 3
-    assert "seen_buckets" in capsys.readouterr().err
+    assert needle in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -269,6 +269,32 @@ class TestRunExperiment:
             # same underlying seed (6); only the trial column may differ
             assert drop_trial(list(csv.reader(fa))) == drop_trial(list(csv.reader(fb)))
 
+    def test_both_interesting_policies_write_the_same_bytes(self, tmp_path):
+        # every feature of an execution is hit once, so a new bucket is a
+        # new feature: new-bucket retains exactly what new-feature retains
+        gen = np.random.default_rng(7)
+        edges = [{"id": i, "p": 0.5} for i in range(3)] + [
+            {"id": i, "prereqs": [int(gen.integers(0, i))], "p": float(gen.uniform(0.02, 0.3))}
+            for i in range(3, 120)
+        ]
+        schedulers = ["rare-minus", "rare-plus", "sample", "greedy", "uniform", "round-robin"]
+        for policy in ("new-feature", "new-bucket"):
+            cfg = _base_config(
+                tmp_path / policy,
+                environment={"edges": edges},
+                schedulers=schedulers,
+                trials=2,
+                steps=150,
+                interesting_policy=policy,
+            )
+            run_experiment(parse_config(cfg))
+        names = sorted(p.name for p in (tmp_path / "new-feature").iterdir())
+        assert len(names) == 13 and "summary.csv" in names
+        for name in names:
+            assert (tmp_path / "new-feature" / name).read_bytes() == (
+                tmp_path / "new-bucket" / name
+            ).read_bytes(), name
+
     def test_snapshot_bounds_checked(self, tmp_path):
         cfg = parse_config(_base_config(tmp_path / "out"))
         with pytest.raises(ConfigError):
@@ -392,12 +418,13 @@ class TestSnapshotResume:
             ("rare-plus", lambda s: s["corpus"][0].__setitem__("exec_time", "1"), "exec_time"),
             ("rare-plus", lambda s: s["corpus"][0].__setitem__("features", [7]), "features"),
             ("rare-plus", lambda s: s["corpus"][0].__setitem__("features", "ab"), "features"),
-            ("uniform", lambda s: s["corpus"][0].__setitem__("times_fuzzed", "x"), "times_fuzzed"),
             ("uniform", lambda s: s["corpus"].__setitem__(0, "arm0"), "corpus"),
             ("rare-plus", lambda s: s.__setitem__("alpha", ["1.0"] * 3), "alpha"),
             ("rare-plus", lambda s: s["alpha"].__setitem__(0, "inf"), "alpha"),
             ("sample", lambda s: s["beta"].__setitem__(1, "nan"), "beta"),
-            ("sample", lambda s: s.__setitem__("total_hits", [1, 2, 3]), "total_hits"),
+            ("sample", lambda s: s.__setitem__("covered", [0, 1, 2]), "covered"),
+            ("sample", lambda s: s.__setitem__("covered", [0, True]), "covered"),
+            ("uniform", lambda s: s.__setitem__("covered", "01"), "covered"),
         ],
     )
     def test_wrongly_typed_scheduler_state_is_snapshot_error(
@@ -417,16 +444,14 @@ class TestSnapshotResume:
     @pytest.mark.parametrize(
         "change,needle",
         [
-            # a hit feature with no bucket, and a bucket on an unhit feature
-            (lambda s: s["seen_buckets"].__setitem__(0, []), "seen_buckets"),
-            (lambda s: s["total_hits"].__setitem__(0, 0), "seen_buckets"),
-            # consistent totals, but a corpus input covers an unhit feature
-            (
-                lambda s: (s["total_hits"].__setitem__(0, 0), s["seen_buckets"].__setitem__(0, [])),
-                "corpus",
-            ),
+            # a retained input covers a feature missing from 'covered'
+            (lambda s: s["covered"].remove(0), "corpus"),
+            (lambda s: s.__setitem__("covered", []), "corpus"),
+            # the ids are all there, but not as state_dict writes them
+            (lambda s: s["covered"].reverse(), "covered"),
+            (lambda s: s["covered"].append(1), "covered"),
         ],
-        ids=["hits-without-buckets", "buckets-without-hits", "corpus-feature-unhit"],
+        ids=["corpus-feature-uncovered", "covered-empty", "unsorted", "repeated"],
     )
     def test_coverage_state_disagreeing_with_corpus_is_snapshot_error(
         self, tmp_path, scheduler, change, needle

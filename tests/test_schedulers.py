@@ -33,9 +33,9 @@ def _one_hot(k, features):
     return cov
 
 
-def _seed_arm(sched, k, feature, iid=None):
+def _seed_arm(sched, feature, iid=None):
     rec = _record(iid or f"in{feature}", {feature})
-    sched.observe(rec, _one_hot(k, {feature}), True)
+    sched.observe(rec, rec.features, True)
     return rec
 
 
@@ -61,27 +61,28 @@ def test_tscheduler_takes_no_hyperparameters():
 
 def test_observe_updates_posterior_counts():
     sched = TScheduler(3, "sample", seed=0)
-    sched.observe(_record("a", {0, 2}), np.array([1, 0, 4]), True)
-    sched.observe(_record("b", {0}), np.array([2, 0, 0]), False)
+    sched.observe(_record("a", {0, 2}), frozenset({0, 2}), True)
+    sched.observe(_record("b", {0}), frozenset({0}), False)
     assert sched.posterior.alpha.tolist() == [2.0, 1.0, 2.0]
     assert sched.posterior.beta.tolist() == [2.0, 1.0, 1.0]
-    assert sched.global_coverage.total_hits.tolist() == [3, 0, 4]
+    assert sched.global_coverage.covered == {0, 2}
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.data())
 def test_observe_updates_like_compute_reward(data):
-    # observe builds the reward dict from its own scan of the map; it must
-    # equal update_posterior(compute_reward(...)), and update_ops the touched count
+    # observe builds the reward dict from the covered ids; it must equal
+    # update_posterior(compute_reward(...)) on their one-hot map, and
+    # update_ops the touched count
     k = data.draw(st.integers(min_value=1, max_value=12))
     sched = TScheduler(k, "rare-minus", seed=0)
     ref = init_posterior(k)
     for i in range(data.draw(st.integers(min_value=1, max_value=20))):
-        cov = np.array(data.draw(st.lists(st.integers(0, 200), min_size=k, max_size=k)))
+        ids = data.draw(st.frozensets(st.integers(0, k - 1)))
         interesting = data.draw(st.booleans())
-        sched.observe(_record(f"r{i}", np.flatnonzero(cov).tolist()), cov, interesting)
-        update_posterior(ref, compute_reward(cov, interesting))
-        assert sched.last_update_ops == np.count_nonzero(cov)
+        sched.observe(_record(f"r{i}", ids), ids, interesting)
+        update_posterior(ref, compute_reward(_one_hot(k, ids), interesting))
+        assert sched.last_update_ops == len(ids)
     assert np.array_equal(sched.posterior.alpha, ref.alpha)
     assert np.array_equal(sched.posterior.beta, ref.beta)
 
@@ -89,9 +90,9 @@ def test_observe_updates_like_compute_reward(data):
 def test_observe_retains_interesting_once():
     sched = TScheduler(2, "sample", seed=0)
     rec = _record("a", {0})
-    sched.observe(rec, _one_hot(2, {0}), True)
-    sched.observe(rec, _one_hot(2, {0}), True)
-    sched.observe(_record("b", {1}), _one_hot(2, {1}), False)
+    sched.observe(rec, rec.features, True)
+    sched.observe(rec, rec.features, True)
+    sched.observe(_record("b", {1}), frozenset({1}), False)
     assert sched.insertion_order == ["a"]
     assert len(sched.corpus) == 1
 
@@ -100,50 +101,45 @@ def test_favored_table_offers_only_corpus_inputs():
     # a second record under a retained id is not retained, so it must not
     # enter the favored table either: the table is a function of the corpus
     sched = TScheduler(3, "sample", seed=0)
-    sched.observe(_record("a", {0}, size=10), _one_hot(3, {0}), True)
-    sched.observe(_record("a", {0, 1}, size=1), _one_hot(3, {0, 1}), True)
+    sched.observe(_record("a", {0}, size=10), frozenset({0}), True)
+    sched.observe(_record("a", {0, 1}, size=1), frozenset({0, 1}), True)
     assert sched.favored.entries == {0: ("a", 10.0)}
     assert sched.corpus["a"].features == frozenset({0})
 
 
-def test_observe_rejects_wrong_length():
+@pytest.mark.parametrize(
+    "coverage", [np.array([0, 1, 0]), [0, 1], {0, 1}], ids=["dense-map", "list", "set"]
+)
+def test_observe_rejects_coverage_other_than_a_frozenset(coverage):
     sched = TScheduler(3, "sample", seed=0)
-    with pytest.raises(DimensionMismatch):
-        sched.observe(_record("a", {0}), np.array([1, 0]), True)
+    with pytest.raises(TypeError, match="frozenset"):
+        sched.observe(_record("a", {0, 1}), coverage, True)
+    assert _visible_state(sched) == _visible_state(TScheduler(3, "sample", seed=0))
 
 
-@pytest.mark.parametrize("policy", ["new-feature", "new-bucket"])
-@pytest.mark.parametrize("name", SCHEDULER_NAMES)
-def test_id_set_observe_matches_the_one_hot_map(name, policy):
-    # two schedulers run the same seeded DAG-shaped records, one fed each
-    # input's id set and the other its one-hot map
-    rng = np.random.default_rng(sum(map(ord, name + policy)))
+@pytest.mark.parametrize("name", ["rare-minus", "rare-plus", "sample", "greedy"])
+def test_selectable_mask_follows_the_favored_table(name):
+    # seeded DAG-shaped records: each extends the features of the input
+    # just scheduled by a few ids; the mask grows on insertion only, and
+    # must equal the one the table implies after every step
+    rng = np.random.default_rng(sum(map(ord, name)))
     k = 60
-    by_ids, by_map = make_scheduler(name, k, seed=4), make_scheduler(name, k, seed=4)
+    sched = make_scheduler(name, k, seed=4)
     feats = frozenset({int(rng.integers(k))})
     for i in range(150):
         if i and rng.random() < 0.7:
-            iid = by_ids.next()
-            assert by_map.next() == iid
-            feats = by_ids.corpus[iid].features
+            feats = sched.corpus[sched.next()].features
         if rng.random() < 0.5:
             feats = feats | set(rng.integers(0, k, int(rng.integers(1, 4))).tolist())
         rec = _record(f"r{i}", feats, size=int(rng.integers(1, 50)))
-        cov = _one_hot(k, feats)
-        verdict = classify_interesting(by_ids.global_coverage, feats, policy)
-        assert verdict is classify_interesting(by_map.global_coverage, cov, policy)
-        by_ids.observe(rec, feats, verdict)
-        by_map.observe(rec, cov, verdict)
-        assert by_ids.last_update_ops == by_map.last_update_ops == len(feats)
-    assert by_ids.state_dict() == by_map.state_dict()
-    if hasattr(by_ids, "favored"):
-        assert by_ids.favored.entries == by_map.favored.entries
-        assert by_ids._selectable.tolist() == selectable_features(by_ids.favored).tolist()
+        sched.observe(rec, feats, classify_interesting(sched.global_coverage, feats))
+        assert sched._selectable.tolist() == selectable_features(sched.favored).tolist()
+    assert 1 < len(sched.favored.entries) < k
 
 
 def test_observe_rejects_out_of_range_ids_before_any_change():
     sched = TScheduler(3, "sample", seed=0)
-    _seed_arm(sched, 3, 0)
+    _seed_arm(sched, 0)
     before = sched.state_dict()
     for ids in ({-1}, {0, 3}):
         with pytest.raises(DimensionMismatch):
@@ -151,9 +147,18 @@ def test_observe_rejects_out_of_range_ids_before_any_change():
     assert sched.state_dict() == before
 
 
+@pytest.mark.parametrize("name", SCHEDULER_NAMES)
+def test_observe_rejects_a_bad_record_before_any_change(name):
+    # the coverage is in range, the record's own features are not
+    sched = make_scheduler(name, 3, 0)
+    with pytest.raises(DimensionMismatch):
+        sched.observe(_record("x", {5}), frozenset({0}), True)
+    assert _visible_state(sched) == _visible_state(make_scheduler(name, 3, 0))
+
+
 def test_empty_id_set_touches_nothing():
     sched = TScheduler(3, "rare-plus", seed=0)
-    _seed_arm(sched, 3, 1)
+    _seed_arm(sched, 1)
     before = sched.state_dict()
     sched.observe(_record("e", set()), frozenset(), False)
     after = sched.state_dict()
@@ -165,21 +170,20 @@ def test_empty_id_set_touches_nothing():
 def test_conservation_alpha_beta_vs_hits():
     rng = np.random.default_rng(5)
     sched = TScheduler(8, "rare-plus", seed=1)
-    total_hits = 0
+    touched = 0
     for i in range(200):
-        cov = rng.integers(0, 3, size=8)
-        total_hits += int(np.count_nonzero(cov))
-        feats = frozenset(int(k) for k in np.flatnonzero(cov))
-        sched.observe(_record(f"r{i}", feats), cov, bool(rng.random() < 0.3))
+        feats = frozenset(np.flatnonzero(rng.random(8) < 0.6).tolist())
+        touched += len(feats)
+        sched.observe(_record(f"r{i}", feats), feats, bool(rng.random() < 0.3))
     mass = (sched.posterior.alpha - 1.0) + (sched.posterior.beta - 1.0)
-    assert int(mass.sum()) == total_hits
+    assert int(mass.sum()) == touched
 
 
 def test_greedy_prefers_higher_posterior_mean():
     sched = GreedyScheduler(2, seed=0)
-    sched.observe(_record("both", {0, 1}), _one_hot(2, {0, 1}), True)
+    sched.observe(_record("both", {0, 1}), frozenset({0, 1}), True)
     # one boring re-run touching only feature 1 drops its mean below 0's
-    sched.observe(_record("x", {1}), _one_hot(2, {1}), False)
+    sched.observe(_record("x", {1}), frozenset({1}), False)
     assert sched.next() == "both"
     assert sched.last_action == 0
 
@@ -187,7 +191,7 @@ def test_greedy_prefers_higher_posterior_mean():
 def test_greedy_tie_takes_smallest_index():
     sched = GreedyScheduler(3, seed=0)
     for k in range(3):
-        _seed_arm(sched, 3, k)
+        _seed_arm(sched, k)
     sched.next()
     assert sched.last_action == 0
 
@@ -195,7 +199,7 @@ def test_greedy_tie_takes_smallest_index():
 def test_uniform_frequency_is_flat():
     sched = UniformScheduler(4, seed=9)
     for k in range(4):
-        _seed_arm(sched, 4, k)
+        _seed_arm(sched, k)
     counts = {f"in{k}": 0 for k in range(4)}
     n = 100_000
     for _ in range(n):
@@ -207,7 +211,7 @@ def test_uniform_frequency_is_flat():
 def test_round_robin_cycles_in_insertion_order():
     sched = RoundRobinScheduler(3, seed=0)
     for k in range(3):
-        _seed_arm(sched, 3, k)
+        _seed_arm(sched, k)
     assert [sched.next() for _ in range(4)] == ["in0", "in1", "in2", "in0"]
 
 
@@ -219,22 +223,14 @@ def test_next_before_any_retention_raises():
 
 def test_unselectable_features_still_learn():
     sched = TScheduler(3, "sample", seed=0)
-    _seed_arm(sched, 3, 0)
+    _seed_arm(sched, 0)
     # feature 2 is observed (boring) but never retained, so never selectable
     for i in range(30):
-        sched.observe(_record(f"x{i}", {2}), _one_hot(3, {2}), False)
+        sched.observe(_record(f"x{i}", {2}), frozenset({2}), False)
     assert sched.posterior.beta[2] == 31.0
     for _ in range(20):
         sched.next()
         assert sched.last_action == 0
-
-
-def test_next_increments_times_fuzzed():
-    sched = RoundRobinScheduler(1, seed=0)
-    rec = _seed_arm(sched, 1, 0)
-    sched.next()
-    sched.next()
-    assert rec.times_fuzzed == 2
 
 
 class TestOpAccounting:
@@ -249,15 +245,15 @@ class TestOpAccounting:
         }
         for name, ops in expected.items():
             sched = make_scheduler(name, 4, 0)
-            _seed_arm(sched, 4, 0)
+            _seed_arm(sched, 0)
             sched.next()
             assert sched.last_select_ops == ops, name
 
     def test_update_ops_count_touched_features(self):
         sched = TScheduler(5, "sample", seed=0)
-        sched.observe(_record("a", {0, 1, 2}), np.array([1, 2, 3, 0, 0]), True)
+        sched.observe(_record("a", {0, 1, 2}), frozenset({0, 1, 2}), True)
         assert sched.last_update_ops == 3
-        sched.observe(_record("b", set()), np.zeros(5, dtype=int), False)
+        sched.observe(_record("b", set()), frozenset(), False)
         assert sched.last_update_ops == 0
         assert sched.total_update_ops == 3
 
@@ -265,13 +261,10 @@ class TestOpAccounting:
 class TestSnapshots:
     def _drive(self, sched, steps, seed):
         rng = np.random.default_rng(seed)
-        k = sched.k_size
         actions = []
         for i in range(steps):
-            iid = sched.next()
-            feats = sched.corpus[iid].features
-            cov = _one_hot(k, feats)
-            sched.observe(sched.corpus[iid], cov, bool(rng.random() < 0.4))
+            rec = sched.corpus[sched.next()]
+            sched.observe(rec, rec.features, bool(rng.random() < 0.4))
             actions.append(sched.last_action)
         return actions
 
@@ -279,7 +272,7 @@ class TestSnapshots:
     def test_round_trip_resumes_identically(self, name):
         a = make_scheduler(name, 4, seed=3)
         for k in range(4):
-            _seed_arm(a, 4, k)
+            _seed_arm(a, k)
         self._drive(a, 25, seed=1)
         state = a.state_dict()
 
@@ -288,15 +281,29 @@ class TestSnapshots:
         follow_a = self._drive(a, 25, seed=2)
         follow_b = self._drive(b, 25, seed=2)
         assert follow_a == follow_b
-        assert np.array_equal(
-            a.global_coverage.total_hits, b.global_coverage.total_hits
-        )
+        assert a.global_coverage.covered == b.global_coverage.covered == {0, 1, 2, 3}
+
+    @pytest.mark.parametrize("name", SCHEDULER_NAMES)
+    def test_covered_holds_ids_no_retained_input_covers(self, name):
+        # a boring execution can cover a feature that no corpus input has,
+        # so 'covered' is stored, not derived from the corpus
+        import json
+
+        sched = make_scheduler(name, 3, seed=0)
+        _seed_arm(sched, 0)
+        sched.observe(_record("x", {2}), frozenset({2}), False)
+        state = json.loads(json.dumps(sched.state_dict()))
+        assert state["covered"] == [0, 2]
+        other = make_scheduler(name, 3, seed=0)
+        other.load_state(state)
+        assert other.global_coverage.covered == {0, 2}
+        assert classify_interesting(other.global_coverage, frozenset({2})) is False
 
     def test_state_is_json_round_trippable(self):
         import json
 
         sched = TScheduler(3, "rare-plus", seed=0)
-        _seed_arm(sched, 3, 1)
+        _seed_arm(sched, 1)
         sched.next()
         state = json.loads(json.dumps(sched.state_dict()))
         other = TScheduler(3, "rare-plus", seed=5)
@@ -336,7 +343,7 @@ def _visible_state(sched):
 def test_rejected_load_state_leaves_the_scheduler_fresh(name, change):
     source = make_scheduler(name, 3, seed=1)
     for k in range(3):
-        _seed_arm(source, 3, k, iid=f"a{k}")
+        _seed_arm(source, k, iid=f"a{k}")
     source.next()
     state = source.state_dict()
     change(state)

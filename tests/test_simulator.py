@@ -14,6 +14,7 @@ from seedsched import (
     ConfigError,
     Edge,
     FuzzCampaignRunner,
+    SCHEDULER_NAMES,
     TrialLog,
     load_target,
     make_scheduler,
@@ -30,16 +31,20 @@ from seedsched.simulator import (
 )
 
 
+_LOG_COLUMNS = (
+    "steps", "actions", "interesting", "regret", "covered",
+    "corpus_size", "select_ops", "update_ops",
+)
+
+
 class FullScanRunner(FuzzCampaignRunner):
     """Reference fuzz runner: every step scans all K edges, drawing one
     uniform per undiscovered edge whose prerequisites the parent covers, in
-    id order, and observes through a fresh one-hot coverage map."""
+    id order, and observes the input's features as its coverage."""
 
     def _observe(self, rec):
-        cov = np.zeros(self.target.k_size, dtype=np.int64)
-        cov[list(rec.features)] = 1
-        interesting = classify_interesting(self.scheduler.global_coverage, cov, self.policy)
-        self.scheduler.observe(rec, cov, interesting)
+        interesting = classify_interesting(self.scheduler.global_coverage, rec.features, self.policy)
+        self.scheduler.observe(rec, rec.features, interesting)
         return interesting
 
     def _advance(self):
@@ -337,8 +342,7 @@ class TestFuzzRunner:
         fast.run_to()
         slow.run_to()
         a, b = fast.take_log(), slow.take_log()
-        for column in ("steps", "actions", "interesting", "regret", "covered",
-                       "corpus_size", "select_ops", "update_ops"):
+        for column in _LOG_COLUMNS:
             assert getattr(a, column).tolist() == getattr(b, column).tolist(), column
         assert fast.discovered == slow.discovered
         assert fast.env_rng.state_dict() == slow.env_rng.state_dict()
@@ -352,6 +356,38 @@ class TestFuzzRunner:
 
 
 class TestRunnerSnapshots:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        target=dags(),
+        name=st.sampled_from(SCHEDULER_NAMES),
+        policy=st.sampled_from(["new-feature", "new-bucket"]),
+        steps=st.integers(2, 60),
+        data=st.data(),
+    )
+    def test_resume_at_a_random_step_gives_the_straight_suffix(
+        self, target, name, policy, steps, data
+    ):
+        seed = data.draw(st.integers(0, 2**16))
+        cut = data.draw(st.integers(1, steps - 1))
+        k = target.k_size
+        straight = FuzzCampaignRunner(target, make_scheduler(name, k, seed), steps, seed, policy)
+        straight.run_to()
+        full = straight.take_log()
+
+        first = FuzzCampaignRunner(target, make_scheduler(name, k, seed), steps, seed, policy)
+        first.run_to(cut)
+        state = json.loads(json.dumps(first.state_dict()))
+        covered = state["scheduler"]["covered"]
+        assert covered == sorted(first.scheduler.global_coverage.covered)
+        assert len(covered) == full.covered[cut - 1]
+
+        resumed = FuzzCampaignRunner(target, make_scheduler(name, k, seed + 1), 1, seed + 1)
+        resumed.load_state(state)
+        resumed.run_to()
+        suffix = resumed.take_log()
+        for column in _LOG_COLUMNS:
+            assert getattr(suffix, column).tolist() == getattr(full, column)[cut:].tolist(), column
+
     def test_arms_snapshot_resume_matches_straight_run(self):
         env = BernoulliArmsEnv((0.4, 0.7))
 
@@ -411,6 +447,36 @@ class TestRunnerSnapshots:
         assert suffix.interesting.tolist() == full.interesting[60:].tolist()
         assert suffix.covered.tolist() == full.covered[60:].tolist()
 
+    @pytest.mark.parametrize(
+        "kind,change",
+        [
+            ("fuzz", lambda s: s.__setitem__("policy", "bogus")),
+            ("fuzz", lambda s: s["scheduler"]["alpha"].__setitem__(0, "inf")),
+            ("fuzz", lambda s: s.__setitem__("synth_count", -1)),
+            ("arms", lambda s: s["scheduler"]["alpha"].__setitem__(0, "inf")),
+        ],
+        ids=["policy-bogus", "alpha-inf", "synth-negative", "arms-alpha-inf"],
+    )
+    def test_rejected_load_state_leaves_the_runner_fresh(self, kind, change):
+        def build(seed):
+            if kind == "arms":
+                return BernoulliTrialRunner(
+                    BernoulliArmsEnv((0.4, 0.7)), make_scheduler("sample", 2, seed), 60, seed
+                )
+            return FuzzCampaignRunner(
+                CfgTarget.chain(20, 0.05), make_scheduler("sample", 20, seed), 60, seed
+            )
+
+        source = build(1)
+        source.run_to(30)
+        state = json.loads(json.dumps(source.state_dict()))
+        change(state)
+        fresh = build(0)
+        with pytest.raises(ValueError):
+            fresh.load_state(state)
+        assert fresh.state_dict() == build(0).state_dict()
+        assert fresh.scheduler.observations == len(fresh.scheduler.corpus)
+
     def test_kind_mismatch_rejected(self):
         env = BernoulliArmsEnv((0.5,))
         arms = BernoulliTrialRunner(env, make_scheduler("sample", 1, 0), 10, 0)
@@ -423,10 +489,10 @@ class TestRunnerSnapshots:
 
 class TestBranchDemo:
     def test_coverage_function(self):
-        assert branch_demo_coverage(15, 0).tolist() == [1, 0, 0, 1]
-        assert branch_demo_coverage(25, 0).tolist() == [1, 1, 0, 1]
-        assert branch_demo_coverage(0, 25).tolist() == [0, 0, 0, 1]
-        assert branch_demo_coverage(25, 25).tolist() == [1, 1, 1, 1]
+        assert branch_demo_coverage(15, 0) == frozenset({0, 3})
+        assert branch_demo_coverage(25, 0) == frozenset({0, 1, 3})
+        assert branch_demo_coverage(0, 25) == frozenset({3})
+        assert branch_demo_coverage(25, 25) == frozenset({0, 1, 2, 3})
 
     def test_replay_emits_full_reference_table(self):
         rows = replay_branch_demo()
