@@ -74,6 +74,33 @@ class TestClassify:
             absorb(gc, coverage)
         assert gc.covered == set()
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.frozensets(st.integers(0, 9)),
+        st.lists(st.frozensets(st.integers(0, 9)), max_size=6),
+    )
+    def test_new_bucket_subsumes_new_feature(self, coverage, history):
+        # with every id hit once, the two policies give the same verdict:
+        # whether coverage holds an id not covered before
+        gc = GlobalCoverage.empty(10)
+        for past in history:
+            absorb(gc, past)
+        verdict = classify_interesting(gc, coverage, "new-feature")
+        assert classify_interesting(gc, coverage, "new-bucket") is verdict
+        assert verdict is (not coverage <= gc.covered)
+
+    def test_coverage_validation(self):
+        # ids 0 and K - 1 bound the feature space from inside
+        gc = GlobalCoverage.empty(3)
+        assert classify_interesting(gc, frozenset({0, 2})) is True
+        absorb(gc, frozenset({0, 2}))
+        assert gc.covered == {0, 2}
+        with pytest.raises(DimensionMismatch):
+            absorb(gc, frozenset({3}))
+        with pytest.raises(TypeError):
+            absorb(gc, np.array([1, 0, 1]))
+        assert gc.covered == {0, 2}
+
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError, match="weird"):
             classify_interesting(GlobalCoverage.empty(2), frozenset({1}), policy="weird")

@@ -494,6 +494,20 @@ class TestBranchDemo:
         assert branch_demo_coverage(0, 25) == frozenset({3})
         assert branch_demo_coverage(25, 25) == frozenset({0, 1, 2, 3})
 
+    @pytest.mark.parametrize(
+        "a, b, covered",
+        [
+            (10, 25, {3}),
+            (11, 25, {0, 3}),
+            (20, 25, {0, 3}),
+            (21, 10, {0, 1, 3}),
+            (21, 11, {0, 1, 2, 3}),
+        ],
+    )
+    def test_coverage_guards_are_strict(self, a, b, covered):
+        # each guard passes only strictly above its bound
+        assert branch_demo_coverage(a, b) == frozenset(covered)
+
     def test_replay_emits_full_reference_table(self):
         rows = replay_branch_demo()
         assert len(rows) == 28
