@@ -11,7 +11,6 @@ from .bandit import (
     PosteriorState,
     Variant,
     compute_pbar,
-    compute_reward,
     expected_phi,
     init_posterior,
     select_action,
@@ -75,7 +74,6 @@ __all__ = [
     "PosteriorState",
     "Variant",
     "compute_pbar",
-    "compute_reward",
     "expected_phi",
     "init_posterior",
     "select_action",

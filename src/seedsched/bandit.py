@@ -2,9 +2,10 @@
 
 Each coverage feature k keeps a Beta(alpha_k, beta_k) posterior over "how
 often does exercising this feature lead to something new".  An executed
-input pays reward 1 to every feature it covers when the input was
-interesting and reward 0 to every feature it covers otherwise; features the
-input did not touch are left alone.  Selection draws a success-rate sample
+input's one reward bit, whether it was interesting, is paid to every feature
+it covers: alpha_k grows by 1 at each covered id when the input was
+interesting, and beta_k when it was not; features the input did not touch
+are left alone.  Selection draws a success-rate sample
 theta_k ~ Beta(alpha_k, beta_k) per selectable feature and, depending on
 the variant, damps it by a rareness factor so that features whose inputs
 have already produced many discoveries stop monopolising the schedule:
@@ -26,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .coverage import _check_ids
 from .errors import DimensionMismatch, EmptyCorpusError
 from .rng import SeededRng
 
@@ -33,7 +35,6 @@ __all__ = [
     "Variant",
     "PosteriorState",
     "init_posterior",
-    "compute_reward",
     "update_posterior",
     "expected_phi",
     "compute_pbar",
@@ -90,50 +91,26 @@ def init_posterior(k_size: int) -> PosteriorState:
     return PosteriorState(np.ones(k_size), np.ones(k_size))
 
 
-def compute_reward(coverage: np.ndarray, interesting: bool) -> dict[int, int]:
-    """Per-feature reward for one executed input.
-
-    Features with a nonzero hit count receive 1 if the input was interesting
-    and 0 otherwise; untouched features are absent from the result.
-    """
-    cov = np.asarray(coverage)
-    if cov.ndim != 1:
-        raise DimensionMismatch("coverage map must be a 1-D vector")
-    return dict.fromkeys(cov.nonzero()[0].tolist(), 1 if interesting else 0)
-
-
-# reward dicts at least this long are applied with one indexed add per
-# array; shorter ones (every arms step) cost less through the scalar loop
+# id sets at least this long are applied with one indexed add; shorter
+# ones (every arms step) cost less through the scalar loop
 _INDEXED_UPDATE_MIN = 32
 
 
-def update_posterior(state: PosteriorState, reward: dict[int, int]) -> PosteriorState:
-    """Conjugate update: alpha_k += r_k, beta_k += 1 - r_k per present feature."""
-    k_size = state.k_size
-    alpha, beta = state.alpha, state.beta
-    n = len(reward)
+def update_posterior(
+    state: PosteriorState, covered: frozenset[int], interesting: bool
+) -> PosteriorState:
+    """Conjugate update for one executed input: alpha_k += 1 at each covered
+    id if it was interesting, else beta_k += 1.  The ids are checked before
+    anything changes."""
+    _check_ids(state.k_size, covered)
+    side = state.alpha if interesting else state.beta
+    n = len(covered)
     if n >= _INDEXED_UPDATE_MIN:
-        rewards = list(reward.values())
-        ids = np.array(list(reward))
-        if (
-            rewards.count(0) + rewards.count(1) == n
-            and ids.dtype.kind in "iu"
-            and ids.min() >= 0
-            and ids.max() < k_size
-        ):
-            # dict keys are distinct, so each feature gets exactly one add
-            r = np.fromiter(rewards, np.float64, n)
-            alpha[ids] += r
-            beta[ids] += 1.0 - r
-            return state
-    # the scalar loop also raises on the first invalid entry
-    for k, r in reward.items():
-        if not 0 <= k < k_size:
-            raise DimensionMismatch(f"feature index {k} outside [0, {k_size})")
-        if r not in (0, 1):
-            raise ValueError(f"reward for feature {k} must be 0 or 1, got {r!r}")
-        alpha[k] += r
-        beta[k] += 1 - r
+        # a set's ids are distinct, so each feature gets exactly one add
+        side[np.fromiter(covered, np.intp, n)] += 1.0
+    else:
+        for k in covered:
+            side[k] += 1.0
     return state
 
 

@@ -3,8 +3,9 @@
 An execution's coverage is a ``frozenset`` of the int ids of the features
 it covered, over a fixed feature space [0, K); each id counts as hit once.
 An id outside [0, K) raises :class:`DimensionMismatch`, and coverage of any
-other type raises ``TypeError``, so a length-K hit-count vector is never
-read as a set of ids.
+other type, or an id that is not an int, raises ``TypeError``, so a
+length-K hit-count vector is never read as a set of ids.  Only the ids not
+covered before are checked: the covered set holds checked ids alone.
 
 Global coverage is the set of ids covered so far.  An input is interesting
 iff it covers an id outside that set.  Both interestingness policies are
@@ -44,16 +45,30 @@ INTERESTING_POLICIES = ("new-feature", "new-bucket")
 
 @dataclass
 class GlobalCoverage:
-    """The ids covered so far over a feature space of ``k_size`` features."""
+    """The ids covered so far over a feature space of ``k_size`` features.
+
+    ``covered`` holds checked ids alone, so only ids outside it are checked
+    when coverage is classified or absorbed.
+    """
 
     k_size: int
     covered: set[int] = field(default_factory=set)
 
+    def __post_init__(self) -> None:
+        if self.k_size <= 0:
+            raise ValueError("k_size must be a positive integer")
+        _check_ids(self.k_size, frozenset(self.covered))
+
     @classmethod
     def empty(cls, k_size: int) -> "GlobalCoverage":
-        if k_size <= 0:
-            raise ValueError("k_size must be a positive integer")
         return cls(k_size)
+
+
+def _feature_id(value: object) -> int:
+    # numpy integers become ints; a float or a bool is not an id
+    if isinstance(value, np.integer) or type(value) is int:
+        return int(value)
+    raise TypeError(f"feature ids must be integers, not {type(value).__name__}")
 
 
 @dataclass
@@ -72,7 +87,7 @@ class InputRecord:
         # holds every feature of its ancestors.
         features = frozenset(self.features)
         if not set(map(type, features)) <= {int}:
-            features = frozenset(map(int, features))
+            features = frozenset(map(_feature_id, features))
         self.features = features
         if self.size < 0:
             raise ValueError("size must be non-negative")
@@ -95,30 +110,42 @@ class FavoredTable:
         return self.entries[feature][0]
 
 
-def _check_ids(k_size: int, coverage: frozenset[int]) -> None:
-    if not isinstance(coverage, frozenset):
+def _check_ids(k_size: int, ids: frozenset[int]) -> None:
+    """Raise unless ``ids`` is a frozenset of ints in [0, k_size)."""
+    if not isinstance(ids, frozenset):
         raise TypeError(
-            f"coverage must be a frozenset of covered feature ids, not {type(coverage).__name__}"
+            f"coverage must be a frozenset of covered feature ids, not {type(ids).__name__}"
         )
-    if coverage and (min(coverage) < 0 or max(coverage) >= k_size):
-        raise DimensionMismatch(f"covered feature ids must lie in [0, {k_size})")
+    # one pass; faster than a type set plus min and max, even at 150 ids
+    for k in ids:
+        if type(k) is not int:
+            raise TypeError(f"covered feature ids must be ints, not {type(k).__name__}")
+        if not 0 <= k < k_size:
+            raise DimensionMismatch(f"covered feature ids must lie in [0, {k_size})")
+
+
+def _new_ids(global_cov: GlobalCoverage, coverage: frozenset[int]) -> frozenset[int]:
+    """The ids of ``coverage`` not covered before, checked."""
+    # coverage of another type goes to the check as it is, to be rejected
+    new = coverage - global_cov.covered if isinstance(coverage, frozenset) else coverage
+    _check_ids(global_cov.k_size, new)
+    return new
 
 
 def classify_interesting(
     global_cov: GlobalCoverage, coverage: frozenset[int], policy: str = "new-feature"
 ) -> bool:
     """Whether coverage holds an id not covered before, under either policy."""
-    _check_ids(global_cov.k_size, coverage)
+    new = _new_ids(global_cov, coverage)
     if policy not in INTERESTING_POLICIES:
         raise ValueError(f"unknown interestingness policy {policy!r}")
-    return not coverage <= global_cov.covered
+    return bool(new)
 
 
 def absorb(global_cov: GlobalCoverage, coverage: frozenset[int]) -> GlobalCoverage:
     """Fold one execution's coverage into the global set.  Coverage is
     checked before anything changes."""
-    _check_ids(global_cov.k_size, coverage)
-    global_cov.covered |= coverage
+    global_cov.covered |= _new_ids(global_cov, coverage)
     return global_cov
 
 

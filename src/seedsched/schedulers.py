@@ -2,12 +2,11 @@
 
 Every scheduler speaks the same two-call protocol:
 
-* ``observe(record, coverage, interesting)`` feeds back one execution:
-  the ``frozenset`` of feature ids it covered (see
-  :mod:`seedsched.coverage`) and whether it was classified interesting.
-  Interesting inputs are retained in the corpus.  The coverage and, for an
-  input about to be retained, its features are checked before anything
-  changes.
+* ``observe(record, interesting)`` feeds back one execution: the executed
+  input, whose ``features`` are the ``frozenset`` of feature ids it covered
+  (see :mod:`seedsched.coverage`), and whether it was classified
+  interesting.  Interesting inputs are retained in the corpus.  The
+  features are checked before anything changes.
 * ``next()`` returns the id of the retained input to fuzz next.
 
 The bandit family (``rare-minus``, ``rare-plus``, ``sample``) keeps a Beta
@@ -37,7 +36,6 @@ from .coverage import (
     FavoredTable,
     GlobalCoverage,
     InputRecord,
-    _check_ids,
     absorb,
     selectable_features,
     update_favored,
@@ -123,26 +121,22 @@ class Scheduler:
 
     # -- feedback ------------------------------------------------------
 
-    def observe(self, record: InputRecord, coverage: frozenset[int], interesting: bool) -> None:
-        retain = interesting and record.id not in self.corpus
-        if retain:
-            _check_ids(self.k_size, record.features)
-        # absorb rejects bad coverage before it changes anything, so the
-        # posterior is only updated from coverage that was accepted
-        absorb(self.global_coverage, coverage)
-        touched = self._learn(coverage, interesting)
-        if retain:
+    def observe(self, record: InputRecord, interesting: bool) -> None:
+        features = record.features
+        # absorb rejects bad ids before it changes anything, so the
+        # posterior and the corpus only see features that were accepted
+        absorb(self.global_coverage, features)
+        self._learn(features, interesting)
+        if interesting and record.id not in self.corpus:
             self.corpus[record.id] = record
             self.insertion_order.append(record.id)
             self._retain(record)
         self.observations += 1
-        self.last_update_ops = touched
-        self.total_update_ops += touched
+        self.last_update_ops = len(features)
+        self.total_update_ops += len(features)
 
-    def _learn(self, coverage: frozenset[int], interesting: bool) -> int:
-        """Posterior update hook; returns the number of features ``coverage``
-        touches.  Baselines without a posterior only count them."""
-        return len(coverage)
+    def _learn(self, covered: frozenset[int], interesting: bool) -> None:
+        """Posterior update hook; baselines keep no posterior."""
 
     def _retain(self, record: InputRecord) -> None:
         """Favored-table hook for schedulers that keep one; called once per
@@ -236,10 +230,8 @@ class _PosteriorScheduler(Scheduler):
         # selectable_features(self.favored), kept up to date by _retain
         self._selectable = np.zeros(k_size, dtype=bool)
 
-    def _learn(self, coverage: frozenset[int], interesting: bool) -> int:
-        # the reward dict of bandit.compute_reward, built from the covered ids
-        bandit.update_posterior(self.posterior, dict.fromkeys(coverage, 1 if interesting else 0))
-        return len(coverage)
+    def _learn(self, covered: frozenset[int], interesting: bool) -> None:
+        bandit.update_posterior(self.posterior, covered, interesting)
 
     def _retain(self, record: InputRecord) -> None:
         update_favored(self.favored, record)
@@ -247,9 +239,6 @@ class _PosteriorScheduler(Scheduler):
         # mask only gains the new input's features
         features = record.features
         self._selectable[np.fromiter(features, np.intp, len(features))] = True
-
-    def _favored_input(self, feature: int) -> str:
-        return self.favored.input_for(feature)
 
     def state_dict(self) -> dict[str, Any]:
         state = super().state_dict()
@@ -299,16 +288,13 @@ class TScheduler(_PosteriorScheduler):
         ops = 2 * self.k_size
         if self.variant is not Variant.RARE_MINUS:
             ops += self.k_size
-        return self._favored_input(action), action, ops
+        return self.favored.input_for(action), action, ops
 
 
 class GreedyScheduler(_PosteriorScheduler):
     """Argmax of the posterior mean; smallest index wins ties."""
 
     name = "greedy"
-
-    def __init__(self, k_size: int, seed: int) -> None:
-        super().__init__(k_size, seed)
 
     def _choose(self) -> tuple[str, int, int]:
         mask = self._selectable
@@ -321,16 +307,13 @@ class GreedyScheduler(_PosteriorScheduler):
         if n_selectable < self.k_size:
             means = np.where(mask, means, -np.inf)
         action = int(means.argmax())
-        return self._favored_input(action), action, 2 * self.k_size
+        return self.favored.input_for(action), action, 2 * self.k_size
 
 
 class UniformScheduler(Scheduler):
     """Uniformly random over retained inputs."""
 
     name = "uniform"
-
-    def __init__(self, k_size: int, seed: int) -> None:
-        super().__init__(k_size, seed)
 
     def _choose(self) -> tuple[str, int, int]:
         if not self.insertion_order:

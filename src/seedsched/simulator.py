@@ -15,10 +15,11 @@ Two environments exercise the schedulers end to end:
   edges, otherwise the parent's own coverage is re-observed and classified
   non-interesting.
 
-In both, an input covers each of its features once, so the coverage an
-execution feeds back is the executed input's ``features``.  Both run
-through the same runner protocol so a campaign can be snapshotted
-mid-flight and resumed to a byte-identical continuation.
+In both, an input covers each of its features once, so an execution's
+coverage is the executed input's ``features``, and a runner feeds back
+only the input and whether it was interesting.  Both run through the same
+runner protocol so a campaign can be snapshotted mid-flight and resumed to
+a byte-identical continuation.
 """
 
 from __future__ import annotations
@@ -410,7 +411,7 @@ class BernoulliTrialRunner(_TrialRunner):
         # a pull of arm k covers exactly feature k
         for k in range(self.env.k_size):
             rec = InputRecord(id=f"arm{k}", size=1, exec_time=1.0, features=frozenset({k}))
-            self.scheduler.observe(rec, rec.features, True)
+            self.scheduler.observe(rec, True)
 
     def _advance(self) -> None:
         iid = self.scheduler.next()
@@ -418,7 +419,7 @@ class BernoulliTrialRunner(_TrialRunner):
         (arm,) = rec.features
         p = self.env.theta_star[arm]
         hit = bool(self.env_rng.random() < p)
-        self.scheduler.observe(rec, rec.features, hit)
+        self.scheduler.observe(rec, hit)
         self._row(arm, hit, self._best - p)
 
 
@@ -462,7 +463,7 @@ class FuzzCampaignRunner(_TrialRunner):
     def _observe(self, rec: InputRecord) -> bool:
         features = rec.features
         interesting = classify_interesting(self.scheduler.global_coverage, features, self.policy)
-        self.scheduler.observe(rec, features, interesting)
+        self.scheduler.observe(rec, interesting)
         return interesting
 
     def _bootstrap(self) -> None:
@@ -665,7 +666,7 @@ def replay_branch_demo() -> list[DemoRow]:
         cov = branch_demo_coverage(a, b)
         interesting = classify_interesting(sched.global_coverage, cov, "new-feature")
         rec = InputRecord(id=f"t{t}", size=1, exec_time=1.0, features=cov)
-        sched.observe(rec, cov, interesting)
+        sched.observe(rec, interesting)
         alphas = sched.posterior.alpha.copy()
         betas = sched.posterior.beta.copy()
         pbar = compute_pbar(sched.posterior)

@@ -3,7 +3,10 @@
 A name in ``seedsched.__all__`` must be read somewhere in ``src/seedsched``
 (a name or attribute load, so neither its definition, an import nor an
 ``__all__`` entry counts), or be named in the README's "Library use"
-section.  Dunder names such as ``__version__`` are exempt.
+section.  Dunder names such as ``__version__`` are exempt.  In reverse,
+every call that section shows inline (`` `name(...)` ``) must name an
+attribute of ``seedsched`` or a method of an exported class, so the entry
+of a deleted export cannot linger.
 """
 
 import ast
@@ -47,3 +50,16 @@ def test_every_public_name_has_a_caller_or_a_readme_entry():
     ]
     assert not orphans, f"public names with no caller and no README entry: {orphans}"
 
+
+
+def test_every_call_in_the_readme_section_resolves():
+    exported = [getattr(seedsched, name) for name in seedsched.__all__]
+    classes = [obj for obj in exported if isinstance(obj, type)]
+    shown = set(re.findall(r"`(\w+)\(", _library_use_section()))
+    assert shown, "the 'Library use' section shows no call"
+    stale = sorted(
+        name
+        for name in shown
+        if not hasattr(seedsched, name) and not any(hasattr(cls, name) for cls in classes)
+    )
+    assert not stale, f"README calls with no public function or method: {stale}"

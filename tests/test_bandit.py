@@ -12,7 +12,6 @@ from seedsched import (
     SeededRng,
     Variant,
     compute_pbar,
-    compute_reward,
     expected_phi,
     init_posterior,
     select_action,
@@ -83,57 +82,60 @@ def test_posterior_state_validation():
         PosteriorState(np.array([1.0, 0.5]), np.ones(2))
 
 
-def test_compute_reward_marks_hit_features_only():
-    cov = np.array([2, 0, 1, 0])
-    assert compute_reward(cov, True) == {0: 1, 2: 1}
-    assert compute_reward(cov, False) == {0: 0, 2: 0}
-    assert compute_reward(np.zeros(4), True) == {}
-
-
-def test_compute_reward_rejects_matrix():
-    with pytest.raises(DimensionMismatch):
-        compute_reward(np.zeros((2, 2)), True)
-
-
 def test_update_posterior_conjugate_steps():
     state = init_posterior(3)
-    out = update_posterior(state, {0: 1, 2: 0})
+    out = update_posterior(state, frozenset({0, 2}), True)
     assert out is state
-    assert state.alpha.tolist() == [2.0, 1.0, 1.0]
+    update_posterior(state, frozenset({2}), False)
+    assert state.alpha.tolist() == [2.0, 1.0, 2.0]
     assert state.beta.tolist() == [1.0, 1.0, 2.0]
 
 
 def test_update_posterior_rejects_bad_input():
     state = init_posterior(2)
     with pytest.raises(DimensionMismatch):
-        update_posterior(state, {5: 1})
-    with pytest.raises(ValueError):
-        update_posterior(state, {0: 2})
+        update_posterior(state, frozenset({5}), True)
+    with pytest.raises(TypeError, match="frozenset"):
+        update_posterior(state, [0, 0], True)
+    assert state.alpha.tolist() == state.beta.tolist() == [1.0, 1.0]
 
 
-def test_long_reward_dicts_update_like_the_scalar_loop():
-    # 40 entries take the indexed-add path; mixed rewards, bools and 1.0 included
-    ids = list(range(0, 120, 3))
-    reward = {k: [1, 0, True, 1.0][i % 4] for i, k in enumerate(ids)}
+@pytest.mark.parametrize("interesting", [True, False])
+def test_long_id_sets_update_like_the_scalar_loop(interesting):
+    # 40 ids take the indexed-add path; each id gets exactly one add
+    ids = frozenset(range(0, 120, 3))
     state = init_posterior(130)
     expect_a, expect_b = state.alpha.copy(), state.beta.copy()
-    for k, r in reward.items():
-        expect_a[k] += r
-        expect_b[k] += 1 - r
-    update_posterior(state, reward)
+    for k in ids:
+        if interesting:
+            expect_a[k] += 1
+        else:
+            expect_b[k] += 1
+    update_posterior(state, ids, interesting)
     assert state.alpha.tolist() == expect_a.tolist()
     assert state.beta.tolist() == expect_b.tolist()
 
 
+@pytest.mark.parametrize("n", [1, 40])
 @pytest.mark.parametrize(
-    "bad,error",
-    [({200: 1}, DimensionMismatch), ({-1: 0}, DimensionMismatch), ({5: 2}, ValueError),
-     ({6: "1"}, ValueError), ({1.5: 1}, IndexError)],
+    "bad,error", [(-1, DimensionMismatch), (50, DimensionMismatch), (1.5, TypeError)]
 )
-def test_long_reward_dicts_reject_bad_input(bad, error):
-    # the same errors as a short dict: the scalar loop reports the entry
-    with pytest.raises(error):
-        update_posterior(init_posterior(100), {**dict.fromkeys(range(40), 1), **bad})
+def test_update_posterior_checks_ids_before_any_change(n, bad, error):
+    # n = 1 takes the scalar loop and n = 40 the indexed add; on both, a -1
+    # must not wrap around to K - 1, nor a 1.5 truncate to 1
+    k = 50
+    rest = set(range(10, 9 + n))
+    state = init_posterior(k)
+    for edge in (0, k - 1):
+        update_posterior(state, frozenset(rest | {edge}), True)
+        update_posterior(state, frozenset(rest | {edge}), False)
+    assert state.alpha[[0, k - 1]].tolist() == state.beta[[0, k - 1]].tolist() == [2.0, 2.0]
+    before = state.copy()
+    for interesting in (True, False):
+        with pytest.raises(error):
+            update_posterior(state, frozenset(rest | {bad}), interesting)
+        assert state.alpha.tolist() == before.alpha.tolist()
+        assert state.beta.tolist() == before.beta.tolist()
 
 
 @settings(max_examples=100, deadline=None)
@@ -148,7 +150,7 @@ def test_counting_invariant(data):
     for _ in range(n):
         cov = np.array(data.draw(st.lists(st.integers(0, 3), min_size=k, max_size=k)))
         interesting = data.draw(st.booleans())
-        update_posterior(state, compute_reward(cov, interesting))
+        update_posterior(state, frozenset(np.flatnonzero(cov).tolist()), interesting)
         touched = cov > 0
         hits += touched
         wins += touched & interesting

@@ -74,6 +74,22 @@ class TestClassify:
             absorb(gc, coverage)
         assert gc.covered == set()
 
+    @pytest.mark.parametrize("n", [1, 40])
+    @pytest.mark.parametrize(
+        "bad", [1.5, True, np.float64(3.0)], ids=["float", "bool", "np-float"]
+    )
+    def test_non_integer_ids_rejected_before_any_change(self, n, bad):
+        # the ids not covered before are type-checked, however many there are
+        gc = GlobalCoverage.empty(50)
+        absorb(gc, frozenset({0, 49}))
+        coverage = frozenset(set(range(10, 9 + n)) | {bad})
+        for policy in POLICIES:
+            with pytest.raises(TypeError, match="ints"):
+                classify_interesting(gc, coverage, policy)
+        with pytest.raises(TypeError, match="ints"):
+            absorb(gc, coverage)
+        assert gc.covered == {0, 49}
+
     @settings(max_examples=80, deadline=None)
     @given(
         st.frozensets(st.integers(0, 9)),
@@ -109,6 +125,13 @@ class TestClassify:
         with pytest.raises(ValueError):
             GlobalCoverage.empty(0)
 
+    @pytest.mark.parametrize("covered,error", [({3}, DimensionMismatch), ({1.5}, TypeError)])
+    def test_covered_set_is_checked_on_construction(self, covered, error):
+        # only ids outside 'covered' are checked later, so it holds checked ids
+        with pytest.raises(error):
+            GlobalCoverage(3, covered)
+        assert GlobalCoverage(3, {0, 2}).covered == {0, 2}
+
 
 def test_absorb_accumulates_demo_walkthrough_coverage():
     # six two-integer inputs against the four-feature branch demo: every
@@ -140,6 +163,17 @@ def test_input_record_features_are_a_frozenset_of_ints():
         feats = InputRecord("b", size=1, exec_time=1.0, features=raw).features
         assert feats == frozenset({1, 3})
         assert type(feats) is frozenset and all(type(k) is int for k in feats)
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [frozenset({0, 1.5}), frozenset({True}), [np.float64(2.0)], {np.bool_(False)}],
+    ids=["float", "bool", "np-float", "np-bool"],
+)
+def test_input_record_rejects_non_integer_ids(raw):
+    # coercion with int() would read {0, 1.5} as {0, 1} and True as 1
+    with pytest.raises(TypeError, match="integers"):
+        InputRecord("a", size=1, exec_time=1.0, features=raw)
 
 
 class TestFavored:

@@ -15,11 +15,8 @@ from seedsched import (
     TScheduler,
     UniformScheduler,
     classify_interesting,
-    compute_reward,
-    init_posterior,
     make_scheduler,
     selectable_features,
-    update_posterior,
 )
 
 
@@ -27,15 +24,9 @@ def _record(iid, features, size=10, exec_time=1.0):
     return InputRecord(id=iid, size=size, exec_time=exec_time, features=frozenset(features))
 
 
-def _one_hot(k, features):
-    cov = np.zeros(k, dtype=np.int64)
-    cov[list(features)] = 1
-    return cov
-
-
 def _seed_arm(sched, feature, iid=None):
     rec = _record(iid or f"in{feature}", {feature})
-    sched.observe(rec, rec.features, True)
+    sched.observe(rec, True)
     return rec
 
 
@@ -61,8 +52,8 @@ def test_tscheduler_takes_no_hyperparameters():
 
 def test_observe_updates_posterior_counts():
     sched = TScheduler(3, "sample", seed=0)
-    sched.observe(_record("a", {0, 2}), frozenset({0, 2}), True)
-    sched.observe(_record("b", {0}), frozenset({0}), False)
+    sched.observe(_record("a", {0, 2}), True)
+    sched.observe(_record("b", {0}), False)
     assert sched.posterior.alpha.tolist() == [2.0, 1.0, 2.0]
     assert sched.posterior.beta.tolist() == [2.0, 1.0, 1.0]
     assert sched.global_coverage.covered == {0, 2}
@@ -70,29 +61,32 @@ def test_observe_updates_posterior_counts():
 
 @settings(max_examples=50, deadline=None)
 @given(st.data())
-def test_observe_updates_like_compute_reward(data):
-    # observe builds the reward dict from the covered ids; it must equal
-    # update_posterior(compute_reward(...)) on their one-hot map, and
-    # update_ops the touched count
+def test_observe_updates_like_a_recount(data):
+    # over random id-set histories, alpha_k - 1 counts the interesting
+    # executions covering k and beta_k - 1 the rest; update_ops is the
+    # number of ids each execution covers
     k = data.draw(st.integers(min_value=1, max_value=12))
     sched = TScheduler(k, "rare-minus", seed=0)
-    ref = init_posterior(k)
+    hits = np.zeros(k, dtype=np.int64)
+    wins = np.zeros(k, dtype=np.int64)
     for i in range(data.draw(st.integers(min_value=1, max_value=20))):
         ids = data.draw(st.frozensets(st.integers(0, k - 1)))
         interesting = data.draw(st.booleans())
-        sched.observe(_record(f"r{i}", ids), ids, interesting)
-        update_posterior(ref, compute_reward(_one_hot(k, ids), interesting))
+        sched.observe(_record(f"r{i}", ids), interesting)
         assert sched.last_update_ops == len(ids)
-    assert np.array_equal(sched.posterior.alpha, ref.alpha)
-    assert np.array_equal(sched.posterior.beta, ref.beta)
+        for f in ids:
+            hits[f] += 1
+            wins[f] += interesting
+    assert np.array_equal(sched.posterior.alpha - 1, wins)
+    assert np.array_equal(sched.posterior.beta - 1, hits - wins)
 
 
 def test_observe_retains_interesting_once():
     sched = TScheduler(2, "sample", seed=0)
     rec = _record("a", {0})
-    sched.observe(rec, rec.features, True)
-    sched.observe(rec, rec.features, True)
-    sched.observe(_record("b", {1}), frozenset({1}), False)
+    sched.observe(rec, True)
+    sched.observe(rec, True)
+    sched.observe(_record("b", {1}), False)
     assert sched.insertion_order == ["a"]
     assert len(sched.corpus) == 1
 
@@ -101,20 +95,10 @@ def test_favored_table_offers_only_corpus_inputs():
     # a second record under a retained id is not retained, so it must not
     # enter the favored table either: the table is a function of the corpus
     sched = TScheduler(3, "sample", seed=0)
-    sched.observe(_record("a", {0}, size=10), frozenset({0}), True)
-    sched.observe(_record("a", {0, 1}, size=1), frozenset({0, 1}), True)
+    sched.observe(_record("a", {0}, size=10), True)
+    sched.observe(_record("a", {0, 1}, size=1), True)
     assert sched.favored.entries == {0: ("a", 10.0)}
     assert sched.corpus["a"].features == frozenset({0})
-
-
-@pytest.mark.parametrize(
-    "coverage", [np.array([0, 1, 0]), [0, 1], {0, 1}], ids=["dense-map", "list", "set"]
-)
-def test_observe_rejects_coverage_other_than_a_frozenset(coverage):
-    sched = TScheduler(3, "sample", seed=0)
-    with pytest.raises(TypeError, match="frozenset"):
-        sched.observe(_record("a", {0, 1}), coverage, True)
-    assert _visible_state(sched) == _visible_state(TScheduler(3, "sample", seed=0))
 
 
 @pytest.mark.parametrize("name", ["rare-minus", "rare-plus", "sample", "greedy"])
@@ -132,7 +116,7 @@ def test_selectable_mask_follows_the_favored_table(name):
         if rng.random() < 0.5:
             feats = feats | set(rng.integers(0, k, int(rng.integers(1, 4))).tolist())
         rec = _record(f"r{i}", feats, size=int(rng.integers(1, 50)))
-        sched.observe(rec, feats, classify_interesting(sched.global_coverage, feats))
+        sched.observe(rec, classify_interesting(sched.global_coverage, feats))
         assert sched._selectable.tolist() == selectable_features(sched.favored).tolist()
     assert 1 < len(sched.favored.entries) < k
 
@@ -143,16 +127,16 @@ def test_observe_rejects_out_of_range_ids_before_any_change():
     before = sched.state_dict()
     for ids in ({-1}, {0, 3}):
         with pytest.raises(DimensionMismatch):
-            sched.observe(_record("x", {0}), frozenset(ids), True)
+            sched.observe(_record("x", ids), True)
     assert sched.state_dict() == before
 
 
 @pytest.mark.parametrize("name", SCHEDULER_NAMES)
 def test_observe_rejects_a_bad_record_before_any_change(name):
-    # the coverage is in range, the record's own features are not
+    # the record's features are its coverage, and they are out of range
     sched = make_scheduler(name, 3, 0)
     with pytest.raises(DimensionMismatch):
-        sched.observe(_record("x", {5}), frozenset({0}), True)
+        sched.observe(_record("x", {5}), True)
     assert _visible_state(sched) == _visible_state(make_scheduler(name, 3, 0))
 
 
@@ -160,7 +144,7 @@ def test_empty_id_set_touches_nothing():
     sched = TScheduler(3, "rare-plus", seed=0)
     _seed_arm(sched, 1)
     before = sched.state_dict()
-    sched.observe(_record("e", set()), frozenset(), False)
+    sched.observe(_record("e", set()), False)
     after = sched.state_dict()
     assert sched.last_update_ops == 0
     assert after.pop("observations") == before.pop("observations") + 1
@@ -174,16 +158,16 @@ def test_conservation_alpha_beta_vs_hits():
     for i in range(200):
         feats = frozenset(np.flatnonzero(rng.random(8) < 0.6).tolist())
         touched += len(feats)
-        sched.observe(_record(f"r{i}", feats), feats, bool(rng.random() < 0.3))
+        sched.observe(_record(f"r{i}", feats), bool(rng.random() < 0.3))
     mass = (sched.posterior.alpha - 1.0) + (sched.posterior.beta - 1.0)
     assert int(mass.sum()) == touched
 
 
 def test_greedy_prefers_higher_posterior_mean():
     sched = GreedyScheduler(2, seed=0)
-    sched.observe(_record("both", {0, 1}), frozenset({0, 1}), True)
+    sched.observe(_record("both", {0, 1}), True)
     # one boring re-run touching only feature 1 drops its mean below 0's
-    sched.observe(_record("x", {1}), frozenset({1}), False)
+    sched.observe(_record("x", {1}), False)
     assert sched.next() == "both"
     assert sched.last_action == 0
 
@@ -226,7 +210,7 @@ def test_unselectable_features_still_learn():
     _seed_arm(sched, 0)
     # feature 2 is observed (boring) but never retained, so never selectable
     for i in range(30):
-        sched.observe(_record(f"x{i}", {2}), frozenset({2}), False)
+        sched.observe(_record(f"x{i}", {2}), False)
     assert sched.posterior.beta[2] == 31.0
     for _ in range(20):
         sched.next()
@@ -251,9 +235,9 @@ class TestOpAccounting:
 
     def test_update_ops_count_touched_features(self):
         sched = TScheduler(5, "sample", seed=0)
-        sched.observe(_record("a", {0, 1, 2}), frozenset({0, 1, 2}), True)
+        sched.observe(_record("a", {0, 1, 2}), True)
         assert sched.last_update_ops == 3
-        sched.observe(_record("b", set()), frozenset(), False)
+        sched.observe(_record("b", set()), False)
         assert sched.last_update_ops == 0
         assert sched.total_update_ops == 3
 
@@ -264,7 +248,7 @@ class TestSnapshots:
         actions = []
         for i in range(steps):
             rec = sched.corpus[sched.next()]
-            sched.observe(rec, rec.features, bool(rng.random() < 0.4))
+            sched.observe(rec, bool(rng.random() < 0.4))
             actions.append(sched.last_action)
         return actions
 
@@ -291,7 +275,7 @@ class TestSnapshots:
 
         sched = make_scheduler(name, 3, seed=0)
         _seed_arm(sched, 0)
-        sched.observe(_record("x", {2}), frozenset({2}), False)
+        sched.observe(_record("x", {2}), False)
         state = json.loads(json.dumps(sched.state_dict()))
         assert state["covered"] == [0, 2]
         other = make_scheduler(name, 3, seed=0)

@@ -44,7 +44,7 @@ class FullScanRunner(FuzzCampaignRunner):
 
     def _observe(self, rec):
         interesting = classify_interesting(self.scheduler.global_coverage, rec.features, self.policy)
-        self.scheduler.observe(rec, rec.features, interesting)
+        self.scheduler.observe(rec, interesting)
         return interesting
 
     def _advance(self):
