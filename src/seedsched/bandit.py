@@ -5,10 +5,12 @@ often does exercising this feature lead to something new".  An executed
 input's one reward bit, whether it was interesting, is paid to every feature
 it covers: alpha_k grows by 1 at each covered id when the input was
 interesting, and beta_k when it was not; features the input did not touch
-are left alone.  Selection draws a success-rate sample
-theta_k ~ Beta(alpha_k, beta_k) per selectable feature and, depending on
-the variant, damps it by a rareness factor so that features whose inputs
-have already produced many discoveries stop monopolising the schedule:
+are left alone.  Selection takes the selectable features as the sorted
+array of their ids (see :func:`seedsched.coverage.selectable_features`),
+draws a success-rate sample theta_k ~ Beta(alpha_k, beta_k) per selectable
+feature and, depending on the variant, damps it by a rareness factor so
+that features whose inputs have already produced many discoveries stop
+monopolising the schedule:
 
 * ``rare-minus``  picks argmax theta_k (no rareness correction);
 * ``rare-plus``   picks argmax phi_k * theta_k with the deterministic
@@ -29,7 +31,7 @@ import numpy as np
 
 from .coverage import _check_ids
 from .errors import DimensionMismatch, EmptyCorpusError
-from .rng import SeededRng
+from .rng import _SCALAR_BETA_MAX, SeededRng
 
 __all__ = [
     "Variant",
@@ -141,39 +143,71 @@ def select_action(
 ) -> int:
     """Pick the feature with the highest selection score among selectable ones.
 
-    Scores are drawn only for the selectable features, in id order, and the
-    winner is mapped back to its feature id, so ties resolve to the smallest
-    id.  With every feature selectable this is one draw over all K features.
+    ``selectable`` is the sorted 1-D integer array of distinct selectable
+    feature ids, as :func:`seedsched.coverage.selectable_features` returns
+    it.  Only its shape, dtype and end ids are checked.  Scores are drawn
+    only for those ids, in id order, and the winner is mapped back to its
+    feature id, so ties resolve to the smallest id.  With every feature
+    selectable this is one draw over all K features.  A draw of at most
+    ``_SCALAR_BETA_MAX`` shape pairs is shaped and scored as Python floats,
+    with the same values as the array form.
     """
-    variant = Variant.parse(variant)
-    k = state.k_size
-    mask = np.asarray(selectable, dtype=bool)
-    if mask.shape != (k,):
-        raise DimensionMismatch("selectable mask length must equal k_size")
-    n_selectable = np.count_nonzero(mask)
-    if not n_selectable:
+    if type(variant) is not Variant:
+        variant = Variant.parse(variant)
+    if not isinstance(selectable, np.ndarray) or selectable.dtype.kind not in "iu":
+        raise TypeError("selectable must be an integer array of feature ids")
+    if selectable.ndim != 1:
+        raise DimensionMismatch("selectable feature ids must form a 1-D array")
+    n = selectable.shape[0]
+    if not n:
         raise EmptyCorpusError("no selectable feature; seed the corpus first")
+    k = state.k_size
+    if selectable[0] < 0 or selectable[-1] >= k:
+        raise DimensionMismatch(f"selectable feature ids must lie in [0, {k})")
     alpha, beta = state.alpha, state.beta
-    ids = None
-    if n_selectable < k:
-        # unselectable features would be masked to -inf, so draw none for them
-        ids = np.flatnonzero(mask)
-        alpha, beta = alpha[ids], beta[ids]
-    if variant is Variant.RARE_MINUS:
-        scores = rng.beta(alpha, beta)
-    elif variant is Variant.RARE_PLUS:
-        scores = _phi(alpha, beta) * rng.beta(alpha, beta)
+    if n < k:
+        # unselectable features could never win, so draw none for them
+        alpha, beta = alpha[selectable], beta[selectable]
+    if (2 * n if variant is Variant.SAMPLE else n) <= _SCALAR_BETA_MAX:
+        scores = _short_scores(variant, alpha.tolist(), beta.tolist(), rng)
+        best = scores.index(max(scores))
     else:
-        # theta ~ Beta(alpha, beta) and psi ~ Beta(alpha + beta, alpha**2)
-        # come from one draw; a = (alpha, alpha + beta) and
-        # b = (beta, alpha**2) are views into one buffer, written in place.
-        n = alpha.size
-        ab = np.empty((4, n))
-        ab[0] = alpha
-        np.add(alpha, beta, out=ab[1])
-        ab[2] = beta
-        np.multiply(alpha, alpha, out=ab[3])
-        draws = rng.beta(ab[:2].ravel(), ab[2:].ravel())
-        scores = draws[:n] * draws[n:]
-    best = int(scores.argmax())
-    return best if ids is None else int(ids[best])
+        best = int(_scores(variant, alpha, beta, rng).argmax())
+    return best if n == k else int(selectable[best])
+
+
+def _scores(
+    variant: Variant, alpha: np.ndarray, beta: np.ndarray, rng: SeededRng
+) -> np.ndarray:
+    """Selection scores of the features with these posterior parameters."""
+    if variant is Variant.RARE_MINUS:
+        return rng.beta(alpha, beta)
+    if variant is Variant.RARE_PLUS:
+        return _phi(alpha, beta) * rng.beta(alpha, beta)
+    # theta ~ Beta(alpha, beta) and psi ~ Beta(alpha + beta, alpha**2)
+    # come from one draw; a = (alpha, alpha + beta) and
+    # b = (beta, alpha**2) are views into one buffer, written in place.
+    n = alpha.size
+    ab = np.empty((4, n))
+    ab[0] = alpha
+    np.add(alpha, beta, out=ab[1])
+    ab[2] = beta
+    np.multiply(alpha, alpha, out=ab[3])
+    draws = rng.beta(ab[:2].ravel(), ab[2:].ravel())
+    return draws[:n] * draws[n:]
+
+
+def _short_scores(
+    variant: Variant, alpha: list[float], beta: list[float], rng: SeededRng
+) -> list[float]:
+    """:func:`_scores` on lists: each float operation is the one numpy
+    applies per element, in the same order, so the scores are equal."""
+    if variant is Variant.RARE_MINUS:
+        return rng.beta(alpha, beta)
+    total = [a + b for a, b in zip(alpha, beta)]
+    if variant is Variant.RARE_PLUS:
+        theta = rng.beta(alpha, beta)
+        return [t / (a * a + t) * d for a, t, d in zip(alpha, total, theta)]
+    draws = rng.beta(alpha + total, beta + [a * a for a in alpha])
+    n = len(alpha)
+    return [t * p for t, p in zip(draws[:n], draws[n:])]

@@ -17,7 +17,8 @@ bucket is the first, and it is new exactly when the feature is.
 The favored table keeps, per feature, the cheapest retained input covering
 it (weight = exec_time * size, strict improvement required to displace the
 incumbent).  Features with a favored entry form the selectable set the
-schedulers draw from; collectively the favored inputs are a weighted
+schedulers draw from, which :func:`selectable_features` gives as a sorted
+``np.intp`` array of ids; collectively the favored inputs are a weighted
 set cover of everything the corpus covers.
 """
 
@@ -101,7 +102,7 @@ class InputRecord:
 
 @dataclass
 class FavoredTable:
-    """Cheapest retained input per feature; backs the selectable mask."""
+    """Cheapest retained input per feature; its keys are the selectable ids."""
 
     k_size: int
     entries: dict[int, tuple[str, float]] = field(default_factory=dict)
@@ -151,11 +152,11 @@ def absorb(global_cov: GlobalCoverage, coverage: frozenset[int]) -> GlobalCovera
 
 def update_favored(table: FavoredTable, record: InputRecord) -> FavoredTable:
     """Offer a retained input; it displaces incumbents only by strictly
-    smaller weight (ties keep the incumbent)."""
+    smaller weight (ties keep the incumbent).  The features are checked
+    before any entry changes."""
+    _check_ids(table.k_size, record.features)
     weight = record.weight
     for k in record.features:
-        if not 0 <= k < table.k_size:
-            raise DimensionMismatch(f"feature index {k} outside [0, {table.k_size})")
         held = table.entries.get(k)
         if held is None or weight < held[1]:
             table.entries[k] = (record.id, weight)
@@ -163,8 +164,5 @@ def update_favored(table: FavoredTable, record: InputRecord) -> FavoredTable:
 
 
 def selectable_features(table: FavoredTable) -> np.ndarray:
-    """Boolean mask of features that currently have a favored input."""
-    mask = np.zeros(table.k_size, dtype=bool)
-    if table.entries:
-        mask[list(table.entries)] = True
-    return mask
+    """Sorted ``np.intp`` array of the features that have a favored input."""
+    return np.fromiter(sorted(table.entries), np.intp, len(table.entries))

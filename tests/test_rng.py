@@ -79,8 +79,8 @@ class TestBeta:
 
     @pytest.mark.parametrize("n", range(1, 17))
     def test_short_and_long_shape_arrays_match_numpy(self, n):
-        # up to _SCALAR_BETA_MAX pairs are drawn one scalar call at a time,
-        # longer arrays in one vector call; both equal the bare generator
+        # arrays of any length are drawn in one vector call; two lists of
+        # up to _SCALAR_BETA_MAX floats one scalar call at a time (below)
         pairs = [(1.0, 1.0), (0.3, 0.5), (1e6, 1e12), (2.0, 9.0), (0.5, 0.5), (40.0, 1.0)]
         a = np.array([pairs[i % len(pairs)][0] for i in range(n)])
         b = np.array([pairs[i % len(pairs)][1] for i in range(n)])
@@ -92,14 +92,43 @@ class TestBeta:
             assert np.array_equal(got, ref.beta(a, b))
         assert rng.state_dict() == ref.bit_generator.state
 
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_lists_match_numpy(self, n):
+        # up to _SCALAR_BETA_MAX pairs, two lists of floats give a list of
+        # floats, longer lists an array; both equal the bare generator
+        pairs = [(1.0, 1.0), (0.3, 0.5), (1e6, 1e12), (2, 9), (0.5, 0.5), (40.0, 1)]
+        a = [pairs[i % len(pairs)][0] for i in range(n)]
+        b = [pairs[i % len(pairs)][1] for i in range(n)]
+        ref = np.random.Generator(np.random.PCG64(np.random.SeedSequence([n, 1])))
+        rng = SeededRng(n, 1)
+        for _ in range(20):
+            got = rng.beta(a, b)
+            if n <= 8:
+                assert type(got) is list and {type(x) for x in got} == {float}
+            else:
+                assert isinstance(got, np.ndarray) and got.dtype == np.float64
+            assert np.array_equal(got, ref.beta(a, b))
+        assert rng.state_dict() == ref.bit_generator.state
+
+    def test_empty_nested_and_int_lists_give_arrays(self):
+        for a, b, shape in (([], [], (0,)), ([[1.0, 2.0]], [[3.0, 4.0]], (1, 2)), ([2], [3], (1,))):
+            got = SeededRng(0).beta(a, b)
+            assert isinstance(got, np.ndarray) and got.shape == shape
+            assert np.array_equal(got, SeededRng(0).beta(np.array(a, float), np.array(b, float)))
+
+    @pytest.mark.parametrize("as_list", [False, True], ids=["array", "list"])
+    @pytest.mark.parametrize("pos", [0, -1])
     @pytest.mark.parametrize("bad", [np.nan, 0.0, -1.0])
     @pytest.mark.parametrize("n", [1, 3, 8])
-    def test_short_path_rejects_nonpositive_and_nan(self, n, bad):
+    def test_short_path_rejects_nonpositive_and_nan(self, n, bad, pos, as_list):
+        # a NaN ahead of a valid shape and one behind it are both caught
         rng = SeededRng(0)
         before = rng.state_dict()
         a = np.ones(n)
         b = np.ones(n)
-        b[-1] = bad
+        b[pos] = bad
+        if as_list:
+            a, b = a.tolist(), b.tolist()
         with pytest.raises(ValueError, match="positive"):
             rng.beta(a, b)
         with pytest.raises(ValueError, match="positive"):

@@ -101,24 +101,58 @@ def test_favored_table_offers_only_corpus_inputs():
     assert sched.corpus["a"].features == frozenset({0})
 
 
-@pytest.mark.parametrize("name", ["rare-minus", "rare-plus", "sample", "greedy"])
-def test_selectable_mask_follows_the_favored_table(name):
+POSTERIOR_NAMES = ["rare-minus", "rare-plus", "sample", "greedy"]
+
+
+@pytest.mark.parametrize("name", POSTERIOR_NAMES)
+def test_selectable_ids_follow_the_favored_table(name):
     # seeded DAG-shaped records: each extends the features of the input
-    # just scheduled by a few ids; the mask grows on insertion only, and
-    # must equal the one the table implies after every step
+    # just scheduled by a few ids; the id array is replaced only when an
+    # insertion adds a feature to the table, never by next(), and must
+    # equal the ids the table implies after every step
     rng = np.random.default_rng(sum(map(ord, name)))
     k = 60
     sched = make_scheduler(name, k, seed=4)
     feats = frozenset({int(rng.integers(k))})
+    growths = rebuilds = 0
     for i in range(150):
+        ids = sched._selectable
         if i and rng.random() < 0.7:
             feats = sched.corpus[sched.next()].features
+            assert sched._selectable is ids
         if rng.random() < 0.5:
             feats = feats | set(rng.integers(0, k, int(rng.integers(1, 4))).tolist())
         rec = _record(f"r{i}", feats, size=int(rng.integers(1, 50)))
+        held = len(sched.favored.entries)
         sched.observe(rec, classify_interesting(sched.global_coverage, feats))
+        growths += len(sched.favored.entries) != held
+        rebuilds += sched._selectable is not ids
+        assert sched._selectable.dtype == np.intp
         assert sched._selectable.tolist() == selectable_features(sched.favored).tolist()
+    assert rebuilds == growths > 1
     assert 1 < len(sched.favored.entries) < k
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_greedy_over_ids_matches_the_masked_argmax(data):
+    # the old rule: posterior means, -inf where unselectable, first argmax;
+    # small integer shapes make ties between selectable features common
+    k = data.draw(st.integers(1, 12))
+    chosen = data.draw(st.frozensets(st.integers(0, k - 1), min_size=1))
+    sched = GreedyScheduler(k, seed=0)
+    for f in sorted(chosen):
+        _seed_arm(sched, f)
+    shapes = st.lists(st.integers(1, 4), min_size=k, max_size=k)
+    alpha = np.array(data.draw(shapes), dtype=float)
+    beta = np.array(data.draw(shapes), dtype=float)
+    sched.posterior.alpha[:] = alpha
+    sched.posterior.beta[:] = beta
+    mask = np.zeros(k, dtype=bool)
+    mask[list(chosen)] = True
+    expected = int(np.where(mask, alpha / (alpha + beta), -np.inf).argmax())
+    assert sched.next() == f"in{expected}"
+    assert sched.last_action == expected
 
 
 def test_observe_rejects_out_of_range_ids_before_any_change():
@@ -266,6 +300,45 @@ class TestSnapshots:
         follow_b = self._drive(b, 25, seed=2)
         assert follow_a == follow_b
         assert a.global_coverage.covered == b.global_coverage.covered == {0, 1, 2, 3}
+
+    @settings(max_examples=20, deadline=None)
+    @given(name=st.sampled_from(POSTERIOR_NAMES), at=st.integers(0, 60), seed=st.integers(0, 99))
+    def test_snapshot_at_any_step_resumes_like_an_uninterrupted_run(self, name, at, seed):
+        # a DAG-shaped run whose selectable ids grow as it goes; the state
+        # taken at step `at` goes through JSON into a fresh scheduler, which
+        # must rebuild the same ids and then run exactly as the original
+        import json
+
+        def run(sched, env, start, stop):
+            actions = []
+            for i in range(start, stop):
+                feats = sched.corpus[sched.next()].features
+                if env.random() < 0.3:
+                    feats = feats | {int(env.integers(k))}
+                rec = _record(f"r{i}", feats, size=int(env.integers(1, 50)))
+                sched.observe(rec, classify_interesting(sched.global_coverage, feats))
+                actions.append(sched.last_action)
+            return actions
+
+        k, steps = 40, 60
+        whole = make_scheduler(name, k, seed=seed)
+        part = make_scheduler(name, k, seed=seed)
+        for sched in (whole, part):
+            _seed_arm(sched, 0)
+        env_whole = np.random.default_rng(seed)
+        env_part = np.random.default_rng(seed)
+        expected = run(whole, env_whole, 0, steps)
+        head = run(part, env_part, 0, at)
+        resumed = make_scheduler(name, k, seed=seed + 1)
+        resumed.load_state(json.loads(json.dumps(part.state_dict())))
+        assert resumed._selectable.tolist() == part._selectable.tolist()
+        assert resumed._selectable.dtype == np.intp
+        assert head + run(resumed, env_part, at, steps) == expected
+        # the seed is the constructor's; the generator state is the snapshot's
+        final, reference = _visible_state(resumed), _visible_state(whole)
+        assert final.pop("seed") == seed + 1 and reference.pop("seed") == seed
+        assert final == reference
+        assert resumed._selectable.tolist() == whole._selectable.tolist()
 
     @pytest.mark.parametrize("name", SCHEDULER_NAMES)
     def test_covered_holds_ids_no_retained_input_covers(self, name):

@@ -104,6 +104,17 @@ class TestEnvValidation:
         with pytest.raises(ConfigError):
             Edge(0, frozenset(), 0.5, size_range=(-1, 10))
 
+    @pytest.mark.parametrize("bad", [0.7, 1.0, True, np.float64(0.0)])
+    def test_edge_rejects_non_integer_prereqs(self, bad):
+        # int() would read 0.7 as prerequisite 0 and True as 1
+        with pytest.raises(ConfigError, match="prerequisite"):
+            Edge(2, frozenset({bad}), 0.5)
+
+    def test_edge_accepts_numpy_integer_prereqs(self):
+        edge = Edge(2, frozenset({np.int64(0), 1}), 0.5)
+        assert edge.prereqs == frozenset({0, 1})
+        assert {type(k) for k in edge.prereqs} == {int}
+
     def test_target_ids_must_be_dense(self):
         with pytest.raises(ConfigError):
             CfgTarget((Edge(0, frozenset(), 1.0), Edge(2, frozenset(), 1.0)))
