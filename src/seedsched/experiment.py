@@ -74,7 +74,7 @@ SUMMARY_COLUMNS = (
     "mwu_p_vs_baseline",
 )
 
-SNAPSHOT_VERSION = 4
+SNAPSHOT_VERSION = 5
 
 _CONFIG_KEYS = {
     "environment",
@@ -187,7 +187,11 @@ def parse_config(raw: Any, base_dir: Path | str = ".") -> ExperimentConfig:
     _require(isinstance(output_dir, str) and output_dir, "'output_dir' must be a path string")
 
     interval = raw.get("sampling_interval", 100)
-    _require(_is_int(interval) and interval >= 1, "'sampling_interval' must be an integer >= 1")
+    # the coverage timeline takes int64 steps modulo the interval
+    _require(
+        _is_int(interval) and 1 <= interval < 2**63,
+        "'sampling_interval' must be an integer in [1, 2**63)",
+    )
 
     policy = raw.get("interesting_policy", "new-feature")
     _require(
@@ -432,12 +436,41 @@ def read_snapshot(path: str | Path) -> dict[str, Any]:
     return body["payload"]
 
 
+def _check_entries(config: ExperimentConfig, entries: list) -> None:
+    """Each runner entry names a configured scheduler and a trial in
+    [0, trials), and no (scheduler, trial) pair appears twice."""
+    seen = set()
+    for entry in entries:
+        try:
+            name, trial = entry["scheduler"], entry["trial"]
+        except (KeyError, TypeError) as exc:
+            raise SnapshotError(
+                f"snapshot holds a malformed runner entry ({type(exc).__name__}: {exc})"
+            ) from exc
+        if not isinstance(name, str) or name not in config.schedulers:
+            raise SnapshotError(
+                f"snapshot runner scheduler {name!r} is not one of the config's "
+                f"schedulers {list(config.schedulers)}"
+            )
+        if not (_is_int(trial) and 0 <= trial < config.trials):
+            raise SnapshotError(
+                f"snapshot runner trial {trial!r} must be an integer in [0, {config.trials})"
+            )
+        if (name, trial) in seen:
+            raise SnapshotError(f"snapshot holds runner ({name}, trial {trial}) twice")
+        seen.add((name, trial))
+
+
 def _resume_task(args: tuple) -> tuple[str, int, TrialLog]:
     config, entry = args
+    name, trial = entry["scheduler"], entry["trial"]
     try:
-        name, trial, state = entry["scheduler"], entry["trial"], entry["state"]
         runner = _build_runner(config, name, trial)
-        runner.load_state(state)
+        runner.load_state(entry["state"])
+        if runner.steps != config.steps:
+            raise ValueError(
+                f"runner state 'steps' is {runner.steps}, not the config's {config.steps}"
+            )
     except (KeyError, TypeError, ValueError) as exc:
         raise SnapshotError(
             f"snapshot holds a malformed runner state ({type(exc).__name__}: {exc})"
@@ -456,6 +489,7 @@ def resume_experiment(snapshot_path: str | Path, jobs: int = 1) -> ExperimentRes
             f"snapshot payload is malformed ({type(exc).__name__}: {exc})"
         ) from exc
     config = parse_config(raw_config, Path(snapshot_path).parent)
+    _check_entries(config, entries)
     tasks = [(config, entry) for entry in entries]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:

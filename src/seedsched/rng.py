@@ -103,4 +103,24 @@ class SeededRng:
         return self._gen.bit_generator.state
 
     def load_state(self, state: dict[str, Any]) -> None:
+        """Restore a :meth:`state_dict`.  The layout is checked first, since
+        numpy's setter raises OverflowError for an out-of-range integer and
+        truncates a float or a bool; a rejected state raises ValueError and
+        leaves the generator as it was."""
+        inner = state.get("state") if type(state) is dict else None
+        if not (
+            type(inner) is dict
+            and set(state) == {"bit_generator", "state", "has_uint32", "uinteger"}
+            and state["bit_generator"] == "PCG64"
+            and set(inner) == {"state", "inc"}
+            and all(type(v) is int and 0 <= v < 1 << 128 for v in inner.values())
+            and type(state["has_uint32"]) is int
+            and state["has_uint32"] in (0, 1)
+            and type(state["uinteger"]) is int
+            and 0 <= state["uinteger"] < 1 << 32
+        ):
+            raise ValueError(
+                "rng state must be a PCG64 state: integer 'state' and 'inc' in "
+                "[0, 2**128), 'has_uint32' 0 or 1, 'uinteger' in [0, 2**32)"
+            )
         self._gen.bit_generator.state = state

@@ -189,7 +189,11 @@ class Scheduler:
 
     def _loaded_fields(self, state: dict[str, Any]) -> dict[str, Any]:
         """Attribute values ``state`` restores; raises on any bad field."""
-        if state.get("name") != self.name or state.get("k_size") != self.k_size:
+        if (
+            not isinstance(state, dict)
+            or state.get("name") != self.name
+            or state.get("k_size") != self.k_size
+        ):
             raise ValueError("scheduler state does not match this scheduler")
         k_size = self.k_size
         rows = state["corpus"]

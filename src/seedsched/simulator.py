@@ -36,7 +36,7 @@ from .bandit import compute_pbar
 from .coverage import INTERESTING_POLICIES, InputRecord, _feature_id, classify_interesting
 from .errors import ConfigError
 from .rng import SeededRng
-from .schedulers import Scheduler, TScheduler, _is_int, _is_number, _state_int
+from .schedulers import Scheduler, TScheduler, _is_int, _is_number, _state_check, _state_int
 
 __all__ = [
     "BernoulliArmsEnv",
@@ -105,8 +105,9 @@ class Edge:
         if not 0 <= lo <= hi:
             raise ConfigError(f"edge {self.id}: bad time_range")
         lo, hi = self.size_range
-        if not 0 <= lo <= hi:
-            raise ConfigError(f"edge {self.id}: bad size_range")
+        # sizes are drawn as int64 from [lo, hi + 1)
+        if not 0 <= lo <= hi < 2**63:
+            raise ConfigError(f"edge {self.id}: bad size_range (need 0 <= lo <= hi < 2**63)")
 
 
 @dataclass(frozen=True)
@@ -379,7 +380,7 @@ class _TrialRunner:
     def _loaded_fields(self, state: dict[str, Any]) -> dict[str, Any]:
         """Attribute values ``state`` restores, with the scheduler's under
         ``"scheduler"``; raises on any bad field."""
-        if state.get("kind") != self.kind:
+        if not isinstance(state, dict) or state.get("kind") != self.kind:
             raise ValueError("runner state does not match this environment kind")
         steps = _state_int(state, "steps", low=1)
         seed = _state_int(state, "seed")
@@ -446,24 +447,22 @@ class FuzzCampaignRunner(_TrialRunner):
             raise ValueError("scheduler feature space must match the target's edge count")
         self.target = target
         self.policy = policy
-        self.discovered: set[int] = set()
-        self.synth_count = 0
-        # feature set -> undiscovered edges whose prerequisites it covers;
-        # derived from `discovered`, so never snapshotted
+        # feature set -> uncovered edges whose prerequisites it covers;
+        # derived from the scheduler's coverage, so never snapshotted
         self._candidates: dict[frozenset[int], list[Edge]] = {}
         self._bootstrap()
 
     def _synth(self, features: frozenset[int], source: Edge, id_prefix: str) -> InputRecord:
+        # every synthesized input covers an edge not covered before, so it
+        # joins the corpus, and the corpus size counts the inputs made so far
         exec_time = float(self.env_rng.uniform(*source.time_range))
         size = int(self.env_rng.integers(source.size_range[0], source.size_range[1] + 1))
-        rec = InputRecord(
-            id=f"{id_prefix}{self.synth_count}",
+        return InputRecord(
+            id=f"{id_prefix}{len(self.scheduler.corpus)}",
             size=size,
             exec_time=exec_time,
             features=features,
         )
-        self.synth_count += 1
-        return rec
 
     def _observe(self, rec: InputRecord) -> bool:
         features = rec.features
@@ -474,19 +473,17 @@ class FuzzCampaignRunner(_TrialRunner):
     def _bootstrap(self) -> None:
         # one seed input per root edge, observed before step 1
         for root in self.target.roots:
-            rec = self._synth(frozenset({root.id}), root, "seed")
-            self._observe(rec)
-            self.discovered.add(root.id)
+            self._observe(self._synth(frozenset({root.id}), root, "seed"))
 
     def _unlockable(self, features: frozenset[int]) -> list[Edge]:
-        """Undiscovered edges whose prerequisites lie in ``features``, in id order.
+        """Uncovered edges whose prerequisites lie in ``features``, in id order.
 
         Only roots and children of a feature in the set can qualify, so the
         list is built from those once per feature set and kept.  Edges
-        discovered since are pruned from it on each later use; `discovered`
-        only grows within a run, so the kept list never misses an edge.
+        covered since are pruned from it on each later use; coverage only
+        grows within a run, so the kept list never misses an edge.
         """
-        discovered = self.discovered
+        covered = self.scheduler.global_coverage.covered
         cands = self._candidates.get(features)
         if cands is None:
             target = self.target
@@ -494,11 +491,11 @@ class FuzzCampaignRunner(_TrialRunner):
             ids = {e.id for e in target.roots}.union(*[children[f] for f in features])
             live = [
                 e
-                for e in map(target.edges.__getitem__, sorted(ids - discovered))
+                for e in map(target.edges.__getitem__, sorted(ids - covered))
                 if e.prereqs <= features
             ]
         else:
-            live = [e for e in cands if e.id not in discovered]
+            live = [e for e in cands if e.id not in covered]
         self._candidates[features] = live
         return live
 
@@ -513,38 +510,42 @@ class FuzzCampaignRunner(_TrialRunner):
             unlocked = [e for e, u in zip(live, draws) if u < e.p]
         if unlocked:
             features = parent.features | {e.id for e in unlocked}
-            child = self._synth(features, unlocked[0], "input")
-            interesting = self._observe(child)
-            self.discovered.update(e.id for e in unlocked)
+            interesting = self._observe(self._synth(features, unlocked[0], "input"))
         else:
             interesting = self._observe(parent)
         self._row(self.scheduler.last_action, interesting, 0.0)
 
     def state_dict(self) -> dict[str, Any]:
         state = super().state_dict()
-        state["discovered"] = sorted(self.discovered)
-        state["synth_count"] = self.synth_count
         state["policy"] = self.policy
         return state
 
     def _loaded_fields(self, state: dict[str, Any]) -> dict[str, Any]:
         fields = super()._loaded_fields(state)
-        discovered = state["discovered"]
-        k_size = self.target.k_size
-        if not isinstance(discovered, list) or not all(
-            _is_int(f) and 0 <= f < k_size for f in discovered
-        ):
-            raise ValueError(
-                f"runner state 'discovered' must list feature ids in [0, {k_size})"
-            )
         if state["policy"] not in INTERESTING_POLICIES:
             raise ValueError(f"runner state 'policy' must be one of {INTERESTING_POLICIES}")
-        fields.update(
-            discovered=set(discovered),
-            synth_count=_state_int(state, "synth_count"),
-            policy=state["policy"],
-            _candidates={},
+        # the runner names inputs and finds unlockable edges from the
+        # scheduler's corpus and coverage, so both must be as a run leaves
+        # them: the inputs in the order they were made, and every covered
+        # edge held by one of them
+        sched = fields["scheduler"]
+        order = sched["insertion_order"]
+        roots = len(self.target.roots)
+        _state_check(
+            len(order) >= roots
+            and order == [f"{'seed' if i < roots else 'input'}{i}" for i in range(len(order))],
+            "corpus",
+            f"the runner's inputs in the order it made them: seed0 to seed{roots - 1}, "
+            f"then input{roots} on",
         )
+        corpus = sched["corpus"]
+        _state_check(
+            set().union(*(rec.features for rec in corpus.values()))
+            == sched["global_coverage"].covered,
+            "covered",
+            "the union of the corpus inputs' features",
+        )
+        fields.update(policy=state["policy"], _candidates={})
         return fields
 
 

@@ -153,7 +153,7 @@ def test_resume_malformed_runner_state_exits_3(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "key,value", [("step", "x"), ("steps", 1.5), ("discovered", "ab")]
+    "key,value", [("step", "x"), ("steps", 1.5), ("policy", 7)]
 )
 def test_resume_wrongly_typed_runner_state_exits_3(tmp_path, capsys, key, value):
     from seedsched.experiment import read_snapshot, write_snapshot
@@ -169,7 +169,7 @@ def test_resume_wrongly_typed_runner_state_exits_3(tmp_path, capsys, key, value)
     assert key in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("version", [2, 3])
+@pytest.mark.parametrize("version", [2, 3, 4])
 def test_resume_rejects_an_earlier_snapshot_version(tmp_path, capsys, monkeypatch, version):
     from seedsched import experiment
 
@@ -178,14 +178,15 @@ def test_resume_rejects_an_earlier_snapshot_version(tmp_path, capsys, monkeypatc
     snap = tmp_path / "out" / "snapshot-step5.json"
     payload = experiment.read_snapshot(snap)
     # an earlier version's file, checksum and all: version 2 drew scores for
-    # all K features, version 3 stored hit totals and seen buckets
+    # all K features, version 3 stored hit totals and seen buckets, version 4
+    # stored the fuzz runner's discovered edges and input count
     monkeypatch.setattr(experiment, "SNAPSHOT_VERSION", version)
     experiment.write_snapshot(snap, payload)
     monkeypatch.undo()
     capsys.readouterr()
     assert main(["resume", "--snapshot", str(snap)]) == 3
     err = capsys.readouterr().err
-    assert f"version {version}" in err and "expected 4" in err
+    assert f"version {version}" in err and "expected 5" in err
 
 
 @pytest.mark.parametrize(
@@ -243,3 +244,57 @@ def test_simulate_negative_base_seed_exits_2(tmp_path, capsys):
     cfg = _write_config(tmp_path, base_seed=-5)
     assert main(["simulate", "--config", str(cfg)]) == 2
     assert "base_seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "where,key,value",
+    [
+        ("env_rng", "state", -1),
+        ("env_rng", "inc", 2**128),
+        ("env_rng", "state", 1.5),
+        ("rng", "state", -1),
+        ("rng", "inc", 2**128),
+    ],
+)
+def test_resume_out_of_range_rng_state_exits_3(tmp_path, capsys, where, key, value):
+    # numpy's PCG64 setter raised OverflowError here, which resume printed
+    # as a traceback, and took a float state as an int
+    from seedsched.experiment import read_snapshot, write_snapshot
+
+    edges = [{"id": 0, "p": 1.0}, {"id": 1, "prereqs": [0], "p": 0.3}]
+    cfg = _write_config(tmp_path, environment={"edges": edges}, steps=20)
+    assert main(["simulate", "--config", str(cfg), "--snapshot-at", "5"]) == 0
+    snap = tmp_path / "out" / "snapshot-step5.json"
+    payload = read_snapshot(snap)
+    state = payload["runners"][0]["state"]
+    rng = state[where] if where == "env_rng" else state["scheduler"][where]
+    rng["state"][key] = value
+    write_snapshot(snap, payload)  # the checksum still matches
+    capsys.readouterr()
+    assert main(["resume", "--snapshot", str(snap)]) == 3
+    assert "rng state" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "change,needle",
+    [
+        (lambda rs: rs[0].__setitem__("trial", 99), "trial"),
+        (lambda rs: rs[0].__setitem__("trial", -1), "trial"),
+        (lambda rs: rs.append(rs[0]), "twice"),
+    ],
+    ids=["trial-99", "trial-negative", "duplicate"],
+)
+def test_resume_runner_entry_outside_the_config_exits_3(tmp_path, capsys, change, needle):
+    from seedsched.experiment import read_snapshot, write_snapshot
+
+    cfg = _write_config(tmp_path, trials=2, steps=20)
+    assert main(["simulate", "--config", str(cfg), "--snapshot-at", "5"]) == 0
+    snap = tmp_path / "out" / "snapshot-step5.json"
+    payload = read_snapshot(snap)
+    change(payload["runners"])
+    write_snapshot(snap, payload)  # the checksum still matches
+    capsys.readouterr()
+    assert main(["resume", "--snapshot", str(snap)]) == 3
+    assert needle in capsys.readouterr().err
+    # nothing resumed; trial -1 used to write sample-trial-001-resumed.csv
+    assert not list((tmp_path / "out").glob("*-resumed.csv"))

@@ -98,6 +98,14 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=field):
             parse_config(_base_config(".", **{field: True}))
 
+    def test_sampling_interval_beyond_int64_rejected(self, tmp_path):
+        # the timeline takes int64 steps modulo the interval, which raised
+        # OverflowError at 2**63 once every trial had run
+        with pytest.raises(ConfigError, match="sampling_interval"):
+            parse_config(_base_config(".", sampling_interval=2**63))
+        cfg = parse_config(_base_config(str(tmp_path), sampling_interval=2**63 - 1, steps=5))
+        assert [row["scheduler"] for row in run_experiment(cfg).summary] == ["sample", "uniform"]
+
     def test_negative_base_seed_rejected(self):
         with pytest.raises(ConfigError, match="base_seed"):
             parse_config(_base_config(".", base_seed=-1))
@@ -303,6 +311,11 @@ class TestRunExperiment:
             run_experiment(cfg, snapshot_at=40)
 
 
+def _rename_scheduler(entry, name):
+    entry["scheduler"] = name
+    entry["state"]["scheduler"]["name"] = name
+
+
 class TestSnapshotResume:
     def test_resume_reproduces_suffix_rows(self, tmp_path):
         cfg = parse_config(_base_config(tmp_path / "out", steps=60))
@@ -351,11 +364,11 @@ class TestSnapshotResume:
         "break_entry",
         [
             lambda e: e["state"]["scheduler"].pop("alpha"),
-            lambda e: e["state"].pop("discovered"),
+            lambda e: e["state"].pop("policy"),
             lambda e: e["state"]["scheduler"].__setitem__("corpus", 7),
             lambda e: e.pop("state"),
         ],
-        ids=["no-alpha", "no-discovered", "corpus-not-a-list", "no-state"],
+        ids=["no-alpha", "no-policy", "corpus-not-a-list", "no-state"],
     )
     def test_malformed_runner_state_is_snapshot_error(self, tmp_path, break_entry):
         cfg = parse_config(
@@ -384,11 +397,8 @@ class TestSnapshotResume:
             ("steps", 1.5),
             ("steps", 0),
             ("seed", None),
-            ("synth_count", "3"),
-            ("discovered", "ab"),
-            ("discovered", [0, 7]),
-            ("discovered", [0.0]),
             ("policy", "everything"),
+            ("policy", None),
         ],
     )
     def test_wrongly_typed_runner_state_is_snapshot_error(self, tmp_path, key, value):
@@ -408,6 +418,94 @@ class TestSnapshotResume:
         write_snapshot(result.snapshot_path, payload)
         with pytest.raises(SnapshotError, match=key):
             resume_experiment(result.snapshot_path)
+
+    @pytest.mark.parametrize(
+        "change,needle",
+        [
+            # the next input would be named input2, then input3: a clash
+            (lambda s: s["corpus"][1].__setitem__("id", "input3"), "corpus"),
+            (lambda s: s["corpus"][1].__setitem__("id", "input1 "), "corpus"),
+            (lambda s: s["corpus"].reverse(), "corpus"),
+            (lambda s: s["corpus"].pop(0), "corpus"),
+            (lambda s: s.__setitem__("corpus", []), "corpus"),
+            # edge 2 would count as covered and never unlock
+            (lambda s: s["covered"].append(2), "covered"),
+        ],
+        ids=["id-ahead", "id-unlike-a-name", "reordered", "seed-missing", "empty",
+             "edge-covered-by-no-input"],
+    )
+    def test_fuzz_corpus_unlike_a_run_is_snapshot_error(self, tmp_path, change, needle):
+        # the runner names its next input and finds unlockable edges from the
+        # scheduler's corpus and coverage, so each must be one a run can leave
+        edges = [
+            {"id": 0, "p": 1.0},
+            {"id": 1, "prereqs": [0], "p": 1.0},
+            {"id": 2, "prereqs": [1], "p": 0.001},
+        ]
+        cfg = parse_config(
+            _base_config(
+                tmp_path / "out",
+                environment={"edges": edges},
+                schedulers=["sample"],
+                trials=1,
+                steps=20,
+            )
+        )
+        result = run_experiment(cfg, snapshot_at=10)
+        payload = read_snapshot(result.snapshot_path)
+        sched = payload["runners"][0]["state"]["scheduler"]
+        assert [r["id"] for r in sched["corpus"]] == ["seed0", "input1"]
+        assert sched["covered"] == [0, 1]
+        change(sched)
+        write_snapshot(result.snapshot_path, payload)
+        with pytest.raises(SnapshotError, match=needle):
+            resume_experiment(result.snapshot_path)
+
+    @pytest.mark.parametrize(
+        "change,needle",
+        [
+            (lambda rs: rs[0].__setitem__("trial", 2), "trial"),
+            (lambda rs: rs[0].__setitem__("trial", -1), "trial"),
+            (lambda rs: rs[0].__setitem__("trial", "0"), "trial"),
+            (lambda rs: rs[0].__setitem__("trial", 1.0), "trial"),
+            # the same state layout under a scheduler the config does not run
+            (lambda rs: _rename_scheduler(rs[0], "rare-plus"), "scheduler"),
+            (lambda rs: rs[0].__setitem__("scheduler", ["sample"]), "scheduler"),
+            (lambda rs: rs[0].pop("trial"), "runner"),
+            (lambda rs: rs.__setitem__(0, "sample"), "runner"),
+            (lambda rs: rs.append(rs[3]), "twice"),
+            (lambda rs: rs[1].__setitem__("trial", 0), "twice"),
+            # a run length other than the config's would write other rows;
+            # this one would not end
+            (lambda rs: rs[0]["state"].__setitem__("steps", 10**12), "steps"),
+        ],
+        ids=[
+            "trial-at-trials", "trial-negative", "trial-str", "trial-float",
+            "scheduler-not-configured", "scheduler-list", "no-trial", "not-an-object",
+            "duplicate", "same-pair-twice", "steps-not-the-config's",
+        ],
+    )
+    def test_runner_entry_outside_the_config_is_snapshot_error(self, tmp_path, change, needle):
+        cfg = parse_config(_base_config(tmp_path / "out", steps=20))
+        result = run_experiment(cfg, snapshot_at=10)
+        payload = read_snapshot(result.snapshot_path)
+        assert [(e["scheduler"], e["trial"]) for e in payload["runners"]] == [
+            ("sample", 0), ("sample", 1), ("uniform", 0), ("uniform", 1)
+        ]
+        change(payload["runners"])
+        write_snapshot(result.snapshot_path, payload)
+        with pytest.raises(SnapshotError, match=needle):
+            resume_experiment(result.snapshot_path)
+        assert not list((tmp_path / "out").glob("*-resumed.csv"))
+
+    def test_a_subset_of_the_runners_resumes(self, tmp_path):
+        cfg = parse_config(_base_config(tmp_path / "out", steps=20))
+        result = run_experiment(cfg, snapshot_at=10)
+        payload = read_snapshot(result.snapshot_path)
+        del payload["runners"][1:3]
+        write_snapshot(result.snapshot_path, payload)
+        resumed = resume_experiment(result.snapshot_path)
+        assert sorted(resumed.logs) == [("sample", 0), ("uniform", 1)]
 
     @pytest.mark.parametrize(
         "scheduler,change,needle",

@@ -39,6 +39,75 @@ def test_state_dict_is_json_serializable():
     assert np.array_equal(rng.random(8), SeededRng(1).random(8))
 
 
+_DELETE = object()
+
+
+@pytest.mark.parametrize(
+    "path,value",
+    [
+        (("state", "state"), -1),
+        (("state", "state"), 2**128),
+        (("state", "inc"), -1),
+        (("state", "inc"), 2**128),
+        (("state", "state"), 1.5),
+        (("state", "inc"), True),
+        (("state", "state"), "1"),
+        (("has_uint32",), 2),
+        (("has_uint32",), 1.5),
+        (("has_uint32",), True),
+        (("uinteger",), -1),
+        (("uinteger",), 2**32),
+        (("uinteger",), 0.5),
+        (("bit_generator",), "MT19937"),
+        (("state",), [1, 2]),
+        (("state", "extra"), 0),
+        (("extra",), 0),
+        (("uinteger",), _DELETE),
+        (("state", "inc"), _DELETE),
+    ],
+    ids=[
+        "state-negative", "state-2**128", "inc-negative", "inc-2**128",
+        "state-float", "inc-bool", "state-str", "has_uint32-2", "has_uint32-float",
+        "has_uint32-bool", "uinteger-negative", "uinteger-2**32", "uinteger-float",
+        "other-generator", "state-list", "state-extra-key", "extra-key",
+        "no-uinteger", "no-inc",
+    ],
+)
+def test_load_state_rejects_a_bad_layout_and_keeps_the_generator(path, value):
+    # numpy's setter raises OverflowError for an out-of-range int and
+    # truncates a float or a bool; each is a ValueError here instead
+    state = json.loads(json.dumps(SeededRng(5).state_dict()))
+    *parents, key = path
+    node = state
+    for p in parents:
+        node = node[p]
+    if value is _DELETE:
+        del node[key]
+    else:
+        node[key] = value
+    rng = SeededRng(3)
+    with pytest.raises(ValueError, match="rng state"):
+        rng.load_state(state)
+    assert rng.state_dict() == SeededRng(3).state_dict()
+
+
+@pytest.mark.parametrize("state", [None, [], "PCG64"])
+def test_load_state_rejects_a_non_object(state):
+    with pytest.raises(ValueError, match="rng state"):
+        SeededRng(0).load_state(state)
+
+
+def test_load_state_accepts_the_range_ends():
+    state = SeededRng(5).state_dict()
+    for value in (0, 2**128 - 1):
+        state["state"] = {"state": value, "inc": value}
+        state["has_uint32"] = 1
+        state["uinteger"] = 2**32 - 1
+        rng = SeededRng(0)
+        rng.load_state(state)
+        assert rng.state_dict() == state
+
+
 class TestBeta:
     def test_scalar_in_scalar_out(self):
         out = SeededRng(0).beta(2.0, 3.0)

@@ -22,7 +22,7 @@ from seedsched import (
     run_bandit_trial,
     run_fuzz_campaign,
 )
-from seedsched.coverage import classify_interesting
+from seedsched.coverage import InputRecord, classify_interesting
 from seedsched.simulator import (
     BRANCH_DEMO_INPUTS,
     BRANCH_DEMO_NODES,
@@ -40,7 +40,22 @@ _LOG_COLUMNS = (
 class FullScanRunner(FuzzCampaignRunner):
     """Reference fuzz runner: every step scans all K edges, drawing one
     uniform per undiscovered edge whose prerequisites the parent covers, in
-    id order, and observes the input's features as its coverage."""
+    id order, and observes the input's features as its coverage.  It keeps
+    its own set of discovered edges and count of synthesized inputs, where
+    the runner under test reads both from its scheduler."""
+
+    def __init__(self, *args, **kwargs):
+        self.discovered = set()
+        self.synth_count = 0
+        super().__init__(*args, **kwargs)
+
+    def _synth(self, features, source, id_prefix):
+        exec_time = float(self.env_rng.uniform(*source.time_range))
+        size = int(self.env_rng.integers(source.size_range[0], source.size_range[1] + 1))
+        rec = InputRecord(f"{id_prefix}{self.synth_count}", size, exec_time, features)
+        self.synth_count += 1
+        self.discovered |= features
+        return rec
 
     def _observe(self, rec):
         interesting = classify_interesting(self.scheduler.global_coverage, rec.features, self.policy)
@@ -59,7 +74,6 @@ class FullScanRunner(FuzzCampaignRunner):
         if unlocked:
             features = parent.features | {e.id for e in unlocked}
             interesting = self._observe(self._synth(features, unlocked[0], "input"))
-            self.discovered.update(e.id for e in unlocked)
         else:
             interesting = self._observe(parent)
         self._row(self.scheduler.last_action, interesting, 0.0)
@@ -103,6 +117,15 @@ class TestEnvValidation:
             Edge(0, frozenset(), 0.5, time_range=(5.0, 1.0))
         with pytest.raises(ConfigError):
             Edge(0, frozenset(), 0.5, size_range=(-1, 10))
+
+    def test_edge_size_range_fits_the_int64_draw(self):
+        # sizes are drawn as int64 from [lo, hi + 1); a larger hi failed the
+        # run with numpy's "high is out of bounds" once the edge unlocked
+        with pytest.raises(ConfigError, match="size_range"):
+            Edge(0, frozenset(), 0.5, size_range=(1, 2**63))
+        edge = Edge(0, frozenset(), 1.0, size_range=(2**63 - 1, 2**63 - 1))
+        runner = FuzzCampaignRunner(CfgTarget((edge,)), make_scheduler("sample", 1, 0), 1, 0)
+        assert runner.scheduler.corpus["seed0"].size == 2**63 - 1
 
     @pytest.mark.parametrize("bad", [0.7, 1.0, True, np.float64(0.0)])
     def test_edge_rejects_non_integer_prereqs(self, bad):
@@ -355,7 +378,10 @@ class TestFuzzRunner:
         a, b = fast.take_log(), slow.take_log()
         for column in _LOG_COLUMNS:
             assert getattr(a, column).tolist() == getattr(b, column).tolist(), column
-        assert fast.discovered == slow.discovered
+        # the runner's discovered edges and input count are its scheduler's
+        assert fast.scheduler.global_coverage.covered == slow.discovered
+        assert len(fast.scheduler.corpus) == slow.synth_count
+        assert fast.scheduler.insertion_order == slow.scheduler.insertion_order
         assert fast.env_rng.state_dict() == slow.env_rng.state_dict()
 
     def test_same_seed_reproduces(self):
@@ -448,7 +474,7 @@ class TestRunnerSnapshots:
         runner.run_to(60)
         state = json.loads(json.dumps(runner.state_dict()))
         runner.run_to()
-        assert len(runner.discovered) > len(state["discovered"])
+        assert len(runner.scheduler.global_coverage.covered) > len(state["scheduler"]["covered"])
         runner.take_log()
         runner.load_state(state)
         runner.run_to()
@@ -463,10 +489,14 @@ class TestRunnerSnapshots:
         [
             ("fuzz", lambda s: s.__setitem__("policy", "bogus")),
             ("fuzz", lambda s: s["scheduler"]["alpha"].__setitem__(0, "inf")),
-            ("fuzz", lambda s: s.__setitem__("synth_count", -1)),
+            # a corpus id the runner would give a later input, and an edge
+            # covered by no input: both pass the scheduler's own checks
+            ("fuzz", lambda s: s["scheduler"]["corpus"][-1].__setitem__("id", "input99")),
+            ("fuzz", lambda s: s["scheduler"]["covered"].append(19)),
             ("arms", lambda s: s["scheduler"]["alpha"].__setitem__(0, "inf")),
         ],
-        ids=["policy-bogus", "alpha-inf", "synth-negative", "arms-alpha-inf"],
+        ids=["policy-bogus", "alpha-inf", "corpus-id-ahead", "covered-beyond-corpus",
+             "arms-alpha-inf"],
     )
     def test_rejected_load_state_leaves_the_runner_fresh(self, kind, change):
         def build(seed):
