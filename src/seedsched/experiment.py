@@ -24,7 +24,7 @@ import numpy as np
 from .coverage import INTERESTING_POLICIES
 from .errors import ConfigError, SnapshotError
 from .metrics import auc, bootstrap_ci, coverage_timeline, mann_whitney_u
-from .schedulers import SCHEDULER_NAMES, _is_int, make_scheduler
+from .schedulers import SCHEDULER_NAMES, _is_int, _is_number, make_scheduler
 from .simulator import (
     BernoulliArmsEnv,
     BernoulliTrialRunner,
@@ -74,7 +74,7 @@ SUMMARY_COLUMNS = (
     "mwu_p_vs_baseline",
 )
 
-SNAPSHOT_VERSION = 5
+SNAPSHOT_VERSION = 6
 
 _CONFIG_KEYS = {
     "environment",
@@ -135,7 +135,7 @@ def _parse_environment(env: Any, base_dir: Path) -> tuple[tuple[float, ...] | No
     if keys == {"arms"}:
         arms = env["arms"]
         _require(
-            isinstance(arms, list) and arms and all(isinstance(a, (int, float)) for a in arms),
+            isinstance(arms, list) and arms and all(map(_is_number, arms)),
             "'environment.arms' must be a non-empty list of numbers",
         )
         _require(all(0.0 < float(a) <= 1.0 for a in arms), "arm probabilities must lie in (0, 1]")
@@ -250,6 +250,15 @@ def _run_task(args: tuple) -> tuple[str, int, TrialLog, dict | None]:
     return scheduler_name, trial, runner.take_log(trial), state
 
 
+def _map_tasks(fn, tasks: list[tuple], jobs: int) -> list:
+    """``fn`` over ``tasks`` in order, in ``jobs`` worker processes if more
+    than one."""
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(fn, tasks))
+    return [fn(t) for t in tasks]
+
+
 @dataclass
 class ExperimentResult:
     config: ExperimentConfig
@@ -360,11 +369,7 @@ def run_experiment(
         for name in config.schedulers
         for trial in range(config.trials)
     ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_run_task, tasks))
-    else:
-        outcomes = [_run_task(t) for t in tasks]
+    outcomes = _map_tasks(_run_task, tasks, jobs)
 
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -467,10 +472,6 @@ def _resume_task(args: tuple) -> tuple[str, int, TrialLog]:
     try:
         runner = _build_runner(config, name, trial)
         runner.load_state(entry["state"])
-        if runner.steps != config.steps:
-            raise ValueError(
-                f"runner state 'steps' is {runner.steps}, not the config's {config.steps}"
-            )
     except (KeyError, TypeError, ValueError) as exc:
         raise SnapshotError(
             f"snapshot holds a malformed runner state ({type(exc).__name__}: {exc})"
@@ -490,12 +491,7 @@ def resume_experiment(snapshot_path: str | Path, jobs: int = 1) -> ExperimentRes
         ) from exc
     config = parse_config(raw_config, Path(snapshot_path).parent)
     _check_entries(config, entries)
-    tasks = [(config, entry) for entry in entries]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_resume_task, tasks))
-    else:
-        outcomes = [_resume_task(t) for t in tasks]
+    outcomes = _map_tasks(_resume_task, [(config, entry) for entry in entries], jobs)
 
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -14,10 +14,10 @@ posterior per feature, updates it on every observation whether or not the
 feature is currently selectable, and schedules the favored input of the
 feature chosen by :func:`seedsched.bandit.select_action`.  ``greedy`` uses
 the same bookkeeping but picks the feature with the highest posterior mean.
-Both read the selectable feature ids from a sorted array that grows only
-when the favored table gains a feature and is rebuilt with
-:func:`seedsched.coverage.selectable_features` when a state is loaded; no
-step re-derives it.
+Both read the selectable feature ids with
+:func:`seedsched.coverage.selectable_features`, the sorted array the
+favored table keeps and extends only when it gains a feature; no step
+re-derives it.
 ``uniform`` and ``round-robin`` ignore the posterior entirely and draw from
 the retained inputs directly.
 
@@ -25,12 +25,16 @@ Constructors take only the feature-space size and a seed; there is nothing
 to tune.  Op-cost counters track abstract work per call (posterior entries
 touched plus samples drawn) so scheduling overhead can be audited without a
 wall clock.
+
+A state (:meth:`Scheduler.state_dict`) holds the rng, the corpus in the
+order it joined, the covered ids and, for the bandit family, the posterior
+as JSON numbers.  The favored table is not stored: replaying the corpus
+through ``update_favored`` rebuilds it, selectable ids and all.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import islice
 from typing import Any
 
 import numpy as np
@@ -65,15 +69,18 @@ def _is_int(value: Any) -> bool:
 
 
 def _is_number(value: Any) -> bool:
-    # JSON decoding also yields NaN and Infinity
-    return type(value) in (int, float) and math.isfinite(value)
+    # JSON decoding also yields NaN, Infinity and ints beyond float range
+    try:
+        return type(value) in (int, float) and math.isfinite(value)
+    except OverflowError:
+        return False
 
 
-def _state_int(state: dict[str, Any], key: str, low: int = 0, high: int | None = None) -> int:
-    """``state[key]`` if it is an integer in [low, high], else ValueError."""
+def _state_int(state: dict[str, Any], key: str, high: int | None = None) -> int:
+    """``state[key]`` if it is an integer in [0, high], else ValueError."""
     value = state[key]
-    if not _is_int(value) or value < low or (high is not None and value > high):
-        bounds = f"[{low}, {high}]" if high is not None else f">= {low}"
+    if not _is_int(value) or value < 0 or (high is not None and value > high):
+        bounds = f"[0, {high}]" if high is not None else ">= 0"
         raise ValueError(f"runner state {key!r} must be an integer {bounds}, got {value!r}")
     return value
 
@@ -117,12 +124,9 @@ class Scheduler:
         self.corpus: dict[str, InputRecord] = {}
         self.insertion_order: list[str] = []
         self.global_coverage = GlobalCoverage.empty(k_size)
-        self.observations = 0
         self.last_action: int | None = None
         self.last_select_ops = 0
         self.last_update_ops = 0
-        self.total_select_ops = 0
-        self.total_update_ops = 0
 
     # -- feedback ------------------------------------------------------
 
@@ -136,9 +140,7 @@ class Scheduler:
             self.corpus[record.id] = record
             self.insertion_order.append(record.id)
             self._retain(record)
-        self.observations += 1
         self.last_update_ops = len(features)
-        self.total_update_ops += len(features)
 
     def _learn(self, covered: frozenset[int], interesting: bool) -> None:
         """Posterior update hook; baselines keep no posterior."""
@@ -153,7 +155,6 @@ class Scheduler:
         input_id, action, ops = self._choose()
         self.last_action = action
         self.last_select_ops = ops
-        self.total_select_ops += ops
         return input_id
 
     def _choose(self) -> tuple[str, int, int]:
@@ -165,7 +166,6 @@ class Scheduler:
         return {
             "name": self.name,
             "k_size": self.k_size,
-            "seed": self.seed,
             "rng": self.rng.state_dict(),
             "corpus": [
                 {
@@ -177,9 +177,6 @@ class Scheduler:
                 for r in (self.corpus[i] for i in self.insertion_order)
             ],
             "covered": sorted(self.global_coverage.covered),
-            "observations": self.observations,
-            "total_select_ops": self.total_select_ops,
-            "total_update_ops": self.total_update_ops,
         }
 
     def load_state(self, state: dict[str, Any]) -> None:
@@ -219,9 +216,6 @@ class Scheduler:
         rng = SeededRng(self.seed, stream=0)
         rng.load_state(state["rng"])
         return {
-            "observations": _state_int(state, "observations"),
-            "total_select_ops": _state_int(state, "total_select_ops"),
-            "total_update_ops": _state_int(state, "total_update_ops"),
             "rng": rng,
             "corpus": corpus,
             "insertion_order": list(corpus),
@@ -236,37 +230,17 @@ class _PosteriorScheduler(Scheduler):
         super().__init__(k_size, seed)
         self.posterior: PosteriorState = init_posterior(k_size)
         self.favored = FavoredTable(k_size)
-        # selectable_features(self.favored), as a view of the first entries
-        # of a K-long buffer: _retain sorts gained ids into it in place and
-        # load_state refills it; no step touches it.  A new, slightly longer
-        # array per insertion would fragment the heap between the corpus's
-        # feature sets (0.7 MB more peak RSS on a 2000-edge tree).
-        self._id_buf = np.empty(k_size, dtype=np.intp)
-        self._selectable = self._id_buf[:0]
 
     def _learn(self, covered: frozenset[int], interesting: bool) -> None:
         bandit.update_posterior(self.posterior, covered, interesting)
 
     def _retain(self, record: InputRecord) -> None:
-        entries = self.favored.entries
-        held = len(entries)
         update_favored(self.favored, record)
-        # table entries are replaced but never removed, and a dict keeps
-        # insertion order, so the features the table gained are its last keys
-        gained = len(entries) - held
-        if gained:
-            # one selectable id per entry, so the first `held` are in use
-            ids = self._id_buf[: held + gained]
-            ids[held:] = np.fromiter(islice(reversed(entries), gained), np.intp, gained)
-            # a stable sort merges the few gained ids into the sorted ones in
-            # about linear time
-            ids.sort(kind="stable")
-            self._selectable = ids
 
     def state_dict(self) -> dict[str, Any]:
         state = super().state_dict()
-        state["alpha"] = [repr(float(v)) for v in self.posterior.alpha]
-        state["beta"] = [repr(float(v)) for v in self.posterior.beta]
+        state["alpha"] = self.posterior.alpha.tolist()
+        state["beta"] = self.posterior.beta.tolist()
         return state
 
     def _loaded_fields(self, state: dict[str, Any]) -> dict[str, Any]:
@@ -274,16 +248,17 @@ class _PosteriorScheduler(Scheduler):
         k_size = self.k_size
         for key in ("alpha", "beta"):
             values = state[key]
+            # a Beta shape starts at 1 and only grows
             _state_check(
                 isinstance(values, list)
                 and len(values) == k_size
-                and all(math.isfinite(float(v)) for v in values),
+                and all(_is_number(v) and v >= 1 for v in values),
                 key,
-                f"a list of {k_size} finite numbers",
+                f"a list of {k_size} finite numbers >= 1",
             )
         fields["posterior"] = PosteriorState(
-            np.array([float(v) for v in state["alpha"]]),
-            np.array([float(v) for v in state["beta"]]),
+            np.array(state["alpha"], dtype=np.float64),
+            np.array(state["beta"], dtype=np.float64),
         )
         # the table follows from the corpus: replay the offers in the order
         # the inputs joined it
@@ -292,10 +267,6 @@ class _PosteriorScheduler(Scheduler):
         for iid in fields["insertion_order"]:
             update_favored(favored, corpus[iid])
         fields["favored"] = favored
-        ids = selectable_features(favored)
-        fields["_id_buf"] = np.empty(k_size, dtype=np.intp)
-        fields["_selectable"] = fields["_id_buf"][: ids.size]
-        fields["_selectable"][:] = ids
         return fields
 
 
@@ -308,7 +279,9 @@ class TScheduler(_PosteriorScheduler):
         self.name = self.variant.value
 
     def _choose(self) -> tuple[str, int, int]:
-        action = bandit.select_action(self.posterior, self.variant, self._selectable, self.rng)
+        action = bandit.select_action(
+            self.posterior, self.variant, selectable_features(self.favored), self.rng
+        )
         # theta draws (K) + argmax scan (K), plus K psi draws or phi reads;
         # an upper bound, as only the selectable features are drawn for
         ops = 2 * self.k_size
@@ -323,7 +296,7 @@ class GreedyScheduler(_PosteriorScheduler):
     name = "greedy"
 
     def _choose(self) -> tuple[str, int, int]:
-        ids = self._selectable
+        ids = selectable_features(self.favored)
         n_selectable = ids.size
         if not n_selectable:
             raise EmptyCorpusError("no selectable feature; seed the corpus first")

@@ -33,7 +33,7 @@ from typing import Any
 import numpy as np
 
 from .bandit import compute_pbar
-from .coverage import INTERESTING_POLICIES, InputRecord, _feature_id, classify_interesting
+from .coverage import InputRecord, _feature_id, classify_interesting
 from .errors import ConfigError
 from .rng import SeededRng
 from .schedulers import Scheduler, TScheduler, _is_int, _is_number, _state_check, _state_int
@@ -360,10 +360,10 @@ class _TrialRunner:
     # -- persistence ---------------------------------------------------
 
     def state_dict(self) -> dict[str, Any]:
+        """The state a run changes.  The run length, seed and interestingness
+        policy are not stored: a runner built from the same config has them."""
         return {
             "kind": self.kind,
-            "steps": self.steps,
-            "seed": self.seed,
             "step": self.step,
             "env_rng": self.env_rng.state_dict(),
             "scheduler": self.scheduler.state_dict(),
@@ -382,15 +382,11 @@ class _TrialRunner:
         ``"scheduler"``; raises on any bad field."""
         if not isinstance(state, dict) or state.get("kind") != self.kind:
             raise ValueError("runner state does not match this environment kind")
-        steps = _state_int(state, "steps", low=1)
-        seed = _state_int(state, "seed")
         # a fresh generator, so a rejected rng state leaves self.env_rng alone
-        env_rng = SeededRng(seed, stream=1)
+        env_rng = SeededRng(self.seed, stream=1)
         env_rng.load_state(state["env_rng"])
         return {
-            "steps": steps,
-            "seed": seed,
-            "step": _state_int(state, "step", high=steps),
+            "step": _state_int(state, "step", high=self.steps),
             "env_rng": env_rng,
             "scheduler": self.scheduler._loaded_fields(state["scheduler"]),
             "rows": [],
@@ -515,15 +511,8 @@ class FuzzCampaignRunner(_TrialRunner):
             interesting = self._observe(parent)
         self._row(self.scheduler.last_action, interesting, 0.0)
 
-    def state_dict(self) -> dict[str, Any]:
-        state = super().state_dict()
-        state["policy"] = self.policy
-        return state
-
     def _loaded_fields(self, state: dict[str, Any]) -> dict[str, Any]:
         fields = super()._loaded_fields(state)
-        if state["policy"] not in INTERESTING_POLICIES:
-            raise ValueError(f"runner state 'policy' must be one of {INTERESTING_POLICIES}")
         # the runner names inputs and finds unlockable edges from the
         # scheduler's corpus and coverage, so both must be as a run leaves
         # them: the inputs in the order they were made, and every covered
@@ -545,7 +534,7 @@ class FuzzCampaignRunner(_TrialRunner):
             "covered",
             "the union of the corpus inputs' features",
         )
-        fields.update(policy=state["policy"], _candidates={})
+        fields["_candidates"] = {}
         return fields
 
 

@@ -153,7 +153,7 @@ def test_resume_malformed_runner_state_exits_3(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "key,value", [("step", "x"), ("steps", 1.5), ("policy", 7)]
+    "key,value", [("step", "x"), ("step", 21), ("kind", 7)]
 )
 def test_resume_wrongly_typed_runner_state_exits_3(tmp_path, capsys, key, value):
     from seedsched.experiment import read_snapshot, write_snapshot
@@ -169,7 +169,7 @@ def test_resume_wrongly_typed_runner_state_exits_3(tmp_path, capsys, key, value)
     assert key in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("version", [2, 3, 4])
+@pytest.mark.parametrize("version", [2, 3, 4, 5])
 def test_resume_rejects_an_earlier_snapshot_version(tmp_path, capsys, monkeypatch, version):
     from seedsched import experiment
 
@@ -179,14 +179,16 @@ def test_resume_rejects_an_earlier_snapshot_version(tmp_path, capsys, monkeypatc
     payload = experiment.read_snapshot(snap)
     # an earlier version's file, checksum and all: version 2 drew scores for
     # all K features, version 3 stored hit totals and seen buckets, version 4
-    # stored the fuzz runner's discovered edges and input count
+    # stored the fuzz runner's discovered edges and input count, version 5
+    # stored copies of the config's steps, seed and policy, unread counters
+    # and the posterior as strings
     monkeypatch.setattr(experiment, "SNAPSHOT_VERSION", version)
     experiment.write_snapshot(snap, payload)
     monkeypatch.undo()
     capsys.readouterr()
     assert main(["resume", "--snapshot", str(snap)]) == 3
     err = capsys.readouterr().err
-    assert f"version {version}" in err and "expected 5" in err
+    assert f"version {version}" in err and "expected 6" in err
 
 
 @pytest.mark.parametrize(
@@ -220,10 +222,10 @@ def test_resume_coverage_state_disagreeing_with_corpus_exits_3(tmp_path, capsys,
     [
         ("round-robin", "cursor", "x"),
         ("round-robin", "cursor", -1),
-        ("sample", "observations", "x"),
-        ("sample", "total_select_ops", "x"),
-        ("greedy", "total_update_ops", 1.5),
-        ("uniform", "observations", True),
+        ("sample", "alpha", "x"),
+        ("sample", "beta", [1.0]),
+        ("greedy", "alpha", None),
+        ("uniform", "covered", True),
     ],
 )
 def test_resume_wrongly_typed_scheduler_state_exits_3(tmp_path, capsys, scheduler, key, value):
@@ -238,6 +240,31 @@ def test_resume_wrongly_typed_scheduler_state_exits_3(tmp_path, capsys, schedule
     capsys.readouterr()
     assert main(["resume", "--snapshot", str(snap)]) == 3
     assert key in capsys.readouterr().err
+
+
+def test_simulate_boolean_arm_exits_2(tmp_path, capsys):
+    cfg = _write_config(tmp_path, environment={"arms": [True, 0.5]})
+    assert main(["simulate", "--config", str(cfg)]) == 2
+    assert "environment.arms" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key", ["alpha", "beta"])
+@pytest.mark.parametrize("value", [True, "1_0", " 2.5 "], ids=["true", "1_0", "spaced-2.5"])
+def test_resume_non_number_posterior_entry_exits_3(tmp_path, capsys, key, value):
+    # read with float(), these were 1.0, 10.0 and 2.5, and the run went on
+    from seedsched.experiment import read_snapshot, write_snapshot
+
+    cfg = _write_config(tmp_path, steps=20)
+    assert main(["simulate", "--config", str(cfg), "--snapshot-at", "5"]) == 0
+    snap = tmp_path / "out" / "snapshot-step5.json"
+    payload = read_snapshot(snap)
+    payload["runners"][0]["state"]["scheduler"][key][1] = value
+    write_snapshot(snap, payload)  # the checksum still matches
+    capsys.readouterr()
+    assert main(["resume", "--snapshot", str(snap)]) == 3
+    assert key in capsys.readouterr().err
+    assert not list((tmp_path / "out").glob("*-resumed.csv"))
 
 
 def test_simulate_negative_base_seed_exits_2(tmp_path, capsys):

@@ -219,6 +219,13 @@ class TestFavored:
         update_favored(table, InputRecord("y", 1, 1.0, frozenset({0})))
         ids = selectable_features(table)
         assert ids.dtype == np.intp and ids.tolist() == [0, 1, 3]
+        # the table's own array, not a copy, and no caller can write to it
+        assert selectable_features(table) is ids
+        with pytest.raises(ValueError, match="read-only"):
+            ids[0] = 2
+        update_favored(table, InputRecord("z", 1, 0.5, frozenset({0, 1})))
+        assert selectable_features(table) is ids  # no id gained
+        assert selectable_features(FavoredTable(4, dict(table.entries))).tolist() == [0, 1, 3]
 
 
 @settings(max_examples=80, deadline=None)
@@ -235,6 +242,7 @@ def test_favored_matches_brute_force_and_covers_everything(data):
     table = FavoredTable(k_size=k)
     for rec in records:
         update_favored(table, rec)
+        assert selectable_features(table).tolist() == sorted(table.entries)
 
     for feat in range(k):
         covering = [r for r in records if feat in r.features]

@@ -114,6 +114,15 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="arm"):
             parse_config(_base_config(".", environment={"arms": [0.0, 0.5]}))
 
+    @pytest.mark.parametrize(
+        "arm", [True, "0.5", None, float("nan"), pytest.param(10**400, id="int-beyond-float")]
+    )
+    def test_non_number_arm_probability_rejected(self, arm):
+        # JSON true once parsed as probability 1.0; an int beyond float range
+        # raised OverflowError
+        with pytest.raises(ConfigError, match="arms"):
+            parse_config(_base_config(".", environment={"arms": [arm, 0.5]}))
+
     def test_inline_edges_take_the_target_file_defaults(self, tmp_path):
         edges = [{"id": 0, "p": 1.0}, {"id": 1, "prereqs": [0], "p": 0.5}]
         (tmp_path / "target.json").write_text(json.dumps(edges))
@@ -134,6 +143,8 @@ class TestParseConfig:
             ([{"id": 0, "p": 1.0, "time_range": 3}], "edge #0"),
             (["edge"], "edge #0"),
             ({"id": 0, "p": 1.0}, "list"),
+            # beyond float range: OverflowError once, a traceback from the CLI
+            ([{"id": 0, "p": 10**400}], "edge #0"),
         ],
     )
     def test_malformed_inline_edges_are_config_errors(self, edges, needle):
@@ -364,11 +375,11 @@ class TestSnapshotResume:
         "break_entry",
         [
             lambda e: e["state"]["scheduler"].pop("alpha"),
-            lambda e: e["state"].pop("policy"),
+            lambda e: e["state"].pop("step"),
             lambda e: e["state"]["scheduler"].__setitem__("corpus", 7),
             lambda e: e.pop("state"),
         ],
-        ids=["no-alpha", "no-policy", "corpus-not-a-list", "no-state"],
+        ids=["no-alpha", "no-step", "corpus-not-a-list", "no-state"],
     )
     def test_malformed_runner_state_is_snapshot_error(self, tmp_path, break_entry):
         cfg = parse_config(
@@ -394,11 +405,11 @@ class TestSnapshotResume:
             ("step", True),
             ("step", -1),
             ("step", 21),
-            ("steps", 1.5),
-            ("steps", 0),
-            ("seed", None),
-            ("policy", "everything"),
-            ("policy", None),
+            ("step", 1.5),
+            ("step", None),
+            ("kind", "arms"),
+            ("kind", None),
+            ("scheduler", None),
         ],
     )
     def test_wrongly_typed_runner_state_is_snapshot_error(self, tmp_path, key, value):
@@ -475,14 +486,13 @@ class TestSnapshotResume:
             (lambda rs: rs.__setitem__(0, "sample"), "runner"),
             (lambda rs: rs.append(rs[3]), "twice"),
             (lambda rs: rs[1].__setitem__("trial", 0), "twice"),
-            # a run length other than the config's would write other rows;
-            # this one would not end
-            (lambda rs: rs[0]["state"].__setitem__("steps", 10**12), "steps"),
+            # the config's run length bounds the step
+            (lambda rs: rs[0]["state"].__setitem__("step", 21), "step"),
         ],
         ids=[
             "trial-at-trials", "trial-negative", "trial-str", "trial-float",
             "scheduler-not-configured", "scheduler-list", "no-trial", "not-an-object",
-            "duplicate", "same-pair-twice", "steps-not-the-config's",
+            "duplicate", "same-pair-twice", "step-beyond-the-config's-steps",
         ],
     )
     def test_runner_entry_outside_the_config_is_snapshot_error(self, tmp_path, change, needle):
@@ -497,6 +507,41 @@ class TestSnapshotResume:
         with pytest.raises(SnapshotError, match=needle):
             resume_experiment(result.snapshot_path)
         assert not list((tmp_path / "out").glob("*-resumed.csv"))
+
+    def test_runner_state_holds_no_copy_of_the_config(self, tmp_path):
+        # the run length, seed and policy come from the config; a key left
+        # over from an earlier layout changes nothing (a stored run length of
+        # 10**12 once ran without end)
+        cfg = parse_config(
+            _base_config(
+                tmp_path / "out",
+                environment={"edges": [{"id": 0, "p": 1.0}, {"id": 1, "prereqs": [0], "p": 0.3}]},
+                schedulers=["rare-plus", "round-robin"],
+                trials=1,
+                steps=20,
+            )
+        )
+        result = run_experiment(cfg, snapshot_at=10)
+        payload = read_snapshot(result.snapshot_path)
+        posterior, baseline = (e["state"] for e in payload["runners"])
+        assert set(posterior) == set(baseline) == {"kind", "step", "env_rng", "scheduler"}
+        common = {"name", "k_size", "rng", "corpus", "covered"}
+        assert set(posterior["scheduler"]) == common | {"alpha", "beta"}
+        assert set(baseline["scheduler"]) == common | {"cursor"}
+        for key in ("alpha", "beta"):
+            assert all(type(v) is float for v in posterior["scheduler"][key])
+        for entry in payload["runners"]:
+            entry["state"].update(steps=10**12, seed=3, policy="bogus")
+        write_snapshot(result.snapshot_path, payload)
+        resume_experiment(result.snapshot_path)
+        for name in ("rare-plus", "round-robin"):
+            full = (tmp_path / "out" / trial_csv_name(name, 0)).read_text().splitlines()
+            suffix = (
+                (tmp_path / "out" / trial_csv_name(name, 0, resumed=True))
+                .read_text()
+                .splitlines()
+            )
+            assert suffix[1:] == full[11:]
 
     def test_a_subset_of_the_runners_resumes(self, tmp_path):
         cfg = parse_config(_base_config(tmp_path / "out", steps=20))
@@ -517,9 +562,9 @@ class TestSnapshotResume:
             ("rare-plus", lambda s: s["corpus"][0].__setitem__("features", [7]), "features"),
             ("rare-plus", lambda s: s["corpus"][0].__setitem__("features", "ab"), "features"),
             ("uniform", lambda s: s["corpus"].__setitem__(0, "arm0"), "corpus"),
-            ("rare-plus", lambda s: s.__setitem__("alpha", ["1.0"] * 3), "alpha"),
-            ("rare-plus", lambda s: s["alpha"].__setitem__(0, "inf"), "alpha"),
-            ("sample", lambda s: s["beta"].__setitem__(1, "nan"), "beta"),
+            ("rare-plus", lambda s: s.__setitem__("alpha", [1.0] * 3), "alpha"),
+            ("rare-plus", lambda s: s["alpha"].__setitem__(0, float("inf")), "alpha"),
+            ("sample", lambda s: s["beta"].__setitem__(1, float("nan")), "beta"),
             ("sample", lambda s: s.__setitem__("covered", [0, 1, 2]), "covered"),
             ("sample", lambda s: s.__setitem__("covered", [0, True]), "covered"),
             ("uniform", lambda s: s.__setitem__("covered", "01"), "covered"),

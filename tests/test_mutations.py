@@ -17,7 +17,7 @@ _leaves = (
     st.none()
     | st.booleans()
     | st.integers(-3, 40)
-    | st.sampled_from([-(2**128), -(2**64), 2**32, 2**64, 2**128, 2**130])
+    | st.sampled_from([-(2**128), -(2**64), 2**32, 2**64, 2**128, 2**130, 10**400])
     | st.floats(allow_nan=True, allow_infinity=True)
     | _names
 )

@@ -418,7 +418,11 @@ class TestRunnerSnapshots:
         assert covered == sorted(first.scheduler.global_coverage.covered)
         assert len(covered) == full.covered[cut - 1]
 
-        resumed = FuzzCampaignRunner(target, make_scheduler(name, k, seed + 1), 1, seed + 1)
+        # the run length and policy are the config's, as resume builds the
+        # runner; the seed does not matter once the generators are loaded
+        resumed = FuzzCampaignRunner(
+            target, make_scheduler(name, k, seed + 1), steps, seed + 1, policy
+        )
         resumed.load_state(state)
         resumed.run_to()
         suffix = resumed.take_log()
@@ -487,15 +491,16 @@ class TestRunnerSnapshots:
     @pytest.mark.parametrize(
         "kind,change",
         [
-            ("fuzz", lambda s: s.__setitem__("policy", "bogus")),
-            ("fuzz", lambda s: s["scheduler"]["alpha"].__setitem__(0, "inf")),
+            # beyond the runner's own run length
+            ("fuzz", lambda s: s.__setitem__("step", 61)),
+            ("fuzz", lambda s: s["scheduler"]["alpha"].__setitem__(0, float("inf"))),
             # a corpus id the runner would give a later input, and an edge
             # covered by no input: both pass the scheduler's own checks
             ("fuzz", lambda s: s["scheduler"]["corpus"][-1].__setitem__("id", "input99")),
             ("fuzz", lambda s: s["scheduler"]["covered"].append(19)),
-            ("arms", lambda s: s["scheduler"]["alpha"].__setitem__(0, "inf")),
+            ("arms", lambda s: s["scheduler"]["alpha"].__setitem__(0, float("inf"))),
         ],
-        ids=["policy-bogus", "alpha-inf", "corpus-id-ahead", "covered-beyond-corpus",
+        ids=["step-beyond-steps", "alpha-inf", "corpus-id-ahead", "covered-beyond-corpus",
              "arms-alpha-inf"],
     )
     def test_rejected_load_state_leaves_the_runner_fresh(self, kind, change):
@@ -515,8 +520,9 @@ class TestRunnerSnapshots:
         fresh = build(0)
         with pytest.raises(ValueError):
             fresh.load_state(state)
-        assert fresh.state_dict() == build(0).state_dict()
-        assert fresh.scheduler.observations == len(fresh.scheduler.corpus)
+        untouched = build(0)
+        assert fresh.state_dict() == untouched.state_dict()
+        assert fresh.scheduler.favored.entries == untouched.scheduler.favored.entries
 
     def test_kind_mismatch_rejected(self):
         env = BernoulliArmsEnv((0.5,))
