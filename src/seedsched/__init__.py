@@ -46,7 +46,6 @@ from .metrics import (
 from .rng import SeededRng
 from .schedulers import (
     SCHEDULER_NAMES,
-    GreedyScheduler,
     RoundRobinScheduler,
     Scheduler,
     TScheduler,
@@ -110,7 +109,6 @@ __all__ = [
     "SeededRng",
     # schedulers
     "SCHEDULER_NAMES",
-    "GreedyScheduler",
     "RoundRobinScheduler",
     "Scheduler",
     "TScheduler",

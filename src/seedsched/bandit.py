@@ -5,18 +5,22 @@ often does exercising this feature lead to something new".  An executed
 input's one reward bit, whether it was interesting, is paid to every feature
 it covers: alpha_k grows by 1 at each covered id when the input was
 interesting, and beta_k when it was not; features the input did not touch
-are left alone.  Selection takes the selectable features as the sorted
-array of their ids (see :func:`seedsched.coverage.selectable_features`),
-draws a success-rate sample theta_k ~ Beta(alpha_k, beta_k) per selectable
-feature and, depending on the variant, damps it by a rareness factor so
-that features whose inputs have already produced many discoveries stop
+are left alone.  Selection takes the favored table and reads the
+selectable features from it as the sorted array of their ids (see
+:func:`seedsched.coverage.selectable_features`).  Each selection rule scores
+those features and picks the highest score; the Thompson-style rules draw a
+success-rate sample theta_k ~ Beta(alpha_k, beta_k) per selectable feature
+and, depending on the variant, damp it by a rareness factor so that
+features whose inputs have already produced many discoveries stop
 monopolising the schedule:
 
 * ``rare-minus``  picks argmax theta_k (no rareness correction);
 * ``rare-plus``   picks argmax phi_k * theta_k with the deterministic
   correction phi_k = (alpha_k + beta_k) / (alpha_k**2 + alpha_k + beta_k);
 * ``sample``      picks argmax psi_k * theta_k with psi_k drawn from
-  Beta(alpha_k + beta_k, alpha_k**2), whose mean is phi_k.
+  Beta(alpha_k + beta_k, alpha_k**2), whose mean is phi_k;
+* ``greedy``      picks argmax alpha_k / (alpha_k + beta_k), the posterior
+  mean, and draws nothing.
 
 phi decays like 1/alpha once alpha dominates beta and tends to 1 when beta
 dominates, so the correction only bites on frequently rewarded features.
@@ -29,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coverage import _check_ids
+from .coverage import FavoredTable, _check_ids, selectable_features
 from .errors import DimensionMismatch, EmptyCorpusError
 from .rng import _SCALAR_BETA_MAX, SeededRng
 
@@ -44,11 +48,12 @@ __all__ = [
 ]
 
 class Variant(str, enum.Enum):
-    """Selection rule used by the adaptive scheduler."""
+    """Selection rule used by the posterior scheduler."""
 
     RARE_MINUS = "rare-minus"
     RARE_PLUS = "rare-plus"
     SAMPLE = "sample"
+    GREEDY = "greedy"
 
     @classmethod
     def parse(cls, value: "Variant | str") -> "Variant":
@@ -138,32 +143,32 @@ def compute_pbar(state: PosteriorState) -> np.ndarray:
 def select_action(
     state: PosteriorState,
     variant: Variant | str,
-    selectable: np.ndarray,
+    table: FavoredTable,
     rng: SeededRng,
 ) -> int:
-    """Pick the feature with the highest selection score among selectable ones.
+    """Pick the feature with the highest selection score among the features
+    of ``table`` that have a favored input.
 
-    ``selectable`` is the sorted 1-D integer array of distinct selectable
-    feature ids, as :func:`seedsched.coverage.selectable_features` returns
-    it.  Only its shape, dtype and end ids are checked.  Scores are drawn
-    only for those ids, in id order, and the winner is mapped back to its
-    feature id, so ties resolve to the smallest id.  With every feature
-    selectable this is one draw over all K features.  A draw of at most
-    ``_SCALAR_BETA_MAX`` shape pairs is shaped and scored as Python floats,
-    with the same values as the array form.
+    Their ids come from :func:`seedsched.coverage.selectable_features`, the
+    table's sorted array of checked ids, so they are not checked again.
+    Scores are computed only for those ids, in id order, and the winner is
+    mapped back to its feature id, so ties resolve to the smallest id.
+    With every feature selectable this is one draw over all K features;
+    ``greedy`` draws nothing.  At most ``_SCALAR_BETA_MAX`` shape pairs are
+    shaped and scored as Python floats, with the same values as the array
+    form.
     """
     if type(variant) is not Variant:
         variant = Variant.parse(variant)
-    if not isinstance(selectable, np.ndarray) or selectable.dtype.kind not in "iu":
-        raise TypeError("selectable must be an integer array of feature ids")
-    if selectable.ndim != 1:
-        raise DimensionMismatch("selectable feature ids must form a 1-D array")
+    if not isinstance(table, FavoredTable):
+        raise TypeError(f"select_action takes a FavoredTable, not {type(table).__name__}")
+    selectable = selectable_features(table)
     n = selectable.shape[0]
     if not n:
         raise EmptyCorpusError("no selectable feature; seed the corpus first")
     k = state.k_size
-    if selectable[0] < 0 or selectable[-1] >= k:
-        raise DimensionMismatch(f"selectable feature ids must lie in [0, {k})")
+    if table.k_size != k:
+        raise DimensionMismatch(f"the table has {table.k_size} features, the posterior {k}")
     alpha, beta = state.alpha, state.beta
     if n < k:
         # unselectable features could never win, so draw none for them
@@ -180,6 +185,8 @@ def _scores(
     variant: Variant, alpha: np.ndarray, beta: np.ndarray, rng: SeededRng
 ) -> np.ndarray:
     """Selection scores of the features with these posterior parameters."""
+    if variant is Variant.GREEDY:
+        return alpha / (alpha + beta)
     if variant is Variant.RARE_MINUS:
         return rng.beta(alpha, beta)
     if variant is Variant.RARE_PLUS:
@@ -202,6 +209,8 @@ def _short_scores(
 ) -> list[float]:
     """:func:`_scores` on lists: each float operation is the one numpy
     applies per element, in the same order, so the scores are equal."""
+    if variant is Variant.GREEDY:
+        return [a / (a + b) for a, b in zip(alpha, beta)]
     if variant is Variant.RARE_MINUS:
         return rng.beta(alpha, beta)
     total = [a + b for a, b in zip(alpha, beta)]

@@ -112,6 +112,8 @@ class FavoredTable:
     entries: dict[int, tuple[str, float]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        # selection trusts the keys, so they are checked like coverage ids
+        _check_ids(self.k_size, frozenset(self.entries))
         # the sorted ids are the first len(entries) slots of a K-long buffer,
         # into which update_favored sorts the ids it gains.  A new, slightly
         # longer array per gain would fragment the heap between the corpus's

@@ -1,4 +1,4 @@
-"""Seed schedulers: the adaptive bandit family and the baselines.
+"""Seed schedulers: the posterior family and the baselines.
 
 Every scheduler speaks the same two-call protocol:
 
@@ -9,17 +9,16 @@ Every scheduler speaks the same two-call protocol:
   features are checked before anything changes.
 * ``next()`` returns the id of the retained input to fuzz next.
 
-The bandit family (``rare-minus``, ``rare-plus``, ``sample``) keeps a Beta
-posterior per feature, updates it on every observation whether or not the
-feature is currently selectable, and schedules the favored input of the
-feature chosen by :func:`seedsched.bandit.select_action`.  ``greedy`` uses
-the same bookkeeping but picks the feature with the highest posterior mean.
-Both read the selectable feature ids with
-:func:`seedsched.coverage.selectable_features`, the sorted array the
-favored table keeps and extends only when it gains a feature; no step
-re-derives it.
-``uniform`` and ``round-robin`` ignore the posterior entirely and draw from
-the retained inputs directly.
+The posterior family (``rare-minus``, ``rare-plus``, ``sample`` and
+``greedy``) is one class, :class:`TScheduler`.  It keeps a Beta posterior
+per feature, updates it on every observation whether or not the feature is
+currently selectable, and schedules the favored input of the feature that
+:func:`seedsched.bandit.select_action` picks from the favored table by the
+scheduler's selection rule: a Thompson-style draw for the first three, the
+highest posterior mean for ``greedy``.  The table keeps the selectable ids
+sorted and extends them only when it gains a feature; no step re-derives
+them.  ``uniform`` and ``round-robin`` ignore the posterior entirely and
+draw from the retained inputs directly.
 
 Constructors take only the feature-space size and a seed; there is nothing
 to tune.  Op-cost counters track abstract work per call (posterior entries
@@ -27,9 +26,9 @@ touched plus samples drawn) so scheduling overhead can be audited without a
 wall clock.
 
 A state (:meth:`Scheduler.state_dict`) holds the rng, the corpus in the
-order it joined, the covered ids and, for the bandit family, the posterior
-as JSON numbers.  The favored table is not stored: replaying the corpus
-through ``update_favored`` rebuilds it, selectable ids and all.
+order it joined, the covered ids and, for the posterior family, the
+posterior as JSON numbers.  The favored table is not stored: replaying the
+corpus through ``update_favored`` rebuilds it, selectable ids and all.
 """
 
 from __future__ import annotations
@@ -46,7 +45,6 @@ from .coverage import (
     GlobalCoverage,
     InputRecord,
     absorb,
-    selectable_features,
     update_favored,
 )
 from .errors import EmptyCorpusError
@@ -55,7 +53,6 @@ from .rng import SeededRng
 __all__ = [
     "Scheduler",
     "TScheduler",
-    "GreedyScheduler",
     "UniformScheduler",
     "RoundRobinScheduler",
     "SCHEDULER_NAMES",
@@ -223,11 +220,14 @@ class Scheduler:
         }
 
 
-class _PosteriorScheduler(Scheduler):
-    """Schedulers that maintain the per-feature Beta posterior."""
+class TScheduler(Scheduler):
+    """Beta posterior per feature plus one selection rule: the Thompson-style
+    variants, with optional rareness damping, or the greedy posterior mean."""
 
-    def __init__(self, k_size: int, seed: int) -> None:
+    def __init__(self, k_size: int, variant: Variant | str, seed: int) -> None:
         super().__init__(k_size, seed)
+        self.variant = Variant.parse(variant)
+        self.name = self.variant.value
         self.posterior: PosteriorState = init_posterior(k_size)
         self.favored = FavoredTable(k_size)
 
@@ -236,6 +236,16 @@ class _PosteriorScheduler(Scheduler):
 
     def _retain(self, record: InputRecord) -> None:
         update_favored(self.favored, record)
+
+    def _choose(self) -> tuple[str, int, int]:
+        action = bandit.select_action(self.posterior, self.variant, self.favored, self.rng)
+        # K scores (theta draws or posterior means) + argmax scan (K), plus
+        # K psi draws or phi reads; an upper bound, as only the selectable
+        # features are scored
+        ops = 2 * self.k_size
+        if self.variant in (Variant.RARE_PLUS, Variant.SAMPLE):
+            ops += self.k_size
+        return self.favored.input_for(action), action, ops
 
     def state_dict(self) -> dict[str, Any]:
         state = super().state_dict()
@@ -268,45 +278,6 @@ class _PosteriorScheduler(Scheduler):
             update_favored(favored, corpus[iid])
         fields["favored"] = favored
         return fields
-
-
-class TScheduler(_PosteriorScheduler):
-    """Thompson-style scheduler over features, with optional rareness damping."""
-
-    def __init__(self, k_size: int, variant: Variant | str, seed: int) -> None:
-        super().__init__(k_size, seed)
-        self.variant = Variant.parse(variant)
-        self.name = self.variant.value
-
-    def _choose(self) -> tuple[str, int, int]:
-        action = bandit.select_action(
-            self.posterior, self.variant, selectable_features(self.favored), self.rng
-        )
-        # theta draws (K) + argmax scan (K), plus K psi draws or phi reads;
-        # an upper bound, as only the selectable features are drawn for
-        ops = 2 * self.k_size
-        if self.variant is not Variant.RARE_MINUS:
-            ops += self.k_size
-        return self.favored.input_for(action), action, ops
-
-
-class GreedyScheduler(_PosteriorScheduler):
-    """Argmax of the posterior mean; smallest index wins ties."""
-
-    name = "greedy"
-
-    def _choose(self) -> tuple[str, int, int]:
-        ids = selectable_features(self.favored)
-        n_selectable = ids.size
-        if not n_selectable:
-            raise EmptyCorpusError("no selectable feature; seed the corpus first")
-        alpha, beta = self.posterior.alpha, self.posterior.beta
-        if n_selectable < self.k_size:
-            alpha, beta = alpha[ids], beta[ids]
-        # ids are sorted, so the first maximum is the smallest id among ties
-        best = int((alpha / (alpha + beta)).argmax())
-        action = best if n_selectable == self.k_size else int(ids[best])
-        return self.favored.input_for(action), action, 2 * self.k_size
 
 
 class UniformScheduler(Scheduler):
@@ -360,10 +331,8 @@ SCHEDULER_NAMES = (
 
 def make_scheduler(name: str, k_size: int, seed: int) -> Scheduler:
     """Build a scheduler from its registry name."""
-    if name in (Variant.RARE_MINUS.value, Variant.RARE_PLUS.value, Variant.SAMPLE.value):
+    if name in {v.value for v in Variant}:
         return TScheduler(k_size, name, seed)
-    if name == "greedy":
-        return GreedyScheduler(k_size, seed)
     if name == "uniform":
         return UniformScheduler(k_size, seed)
     if name == "round-robin":

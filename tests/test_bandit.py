@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from seedsched import (
     DimensionMismatch,
     EmptyCorpusError,
+    FavoredTable,
     PosteriorState,
     SeededRng,
     Variant,
@@ -55,6 +56,8 @@ def _shapes(variant, alpha, beta):
 
 
 def _scores(variant, alpha, beta, draws):
+    if variant == "greedy":
+        return alpha / (alpha + beta)
     if variant == "rare-minus":
         return draws
     if variant == "rare-plus":
@@ -200,22 +203,23 @@ def test_pbar_normalizes_posterior_means():
     assert compute_pbar(init_posterior(4)).tolist() == pytest.approx([0.25] * 4)
 
 
-VARIANTS = ["rare-minus", "rare-plus", "sample"]
+VARIANTS = ["rare-minus", "rare-plus", "sample", "greedy"]
 
 
-def _ids(*ids):
-    return np.array(ids, dtype=np.intp)
+def _table(k, *ids):
+    """A favored table over ``k`` features whose selectable ids are ``ids``."""
+    return FavoredTable(k, {i: (f"in{i}", 1.0) for i in ids})
 
 
 class TestSelectAction:
     def test_tie_goes_to_smallest_id(self):
         rng = FakeRng([[0.5, 0.5, 0.5]])
-        assert select_action(init_posterior(3), "rare-minus", _ids(0, 1, 2), rng) == 0
+        assert select_action(init_posterior(3), "rare-minus", _table(3, 0, 1, 2), rng) == 0
 
     def test_ids_exclude_features(self):
         # feature 0 would win, but only ids 1 and 2 are drawn for
         rng = FakeRng([[0.5, 0.9]])
-        assert select_action(init_posterior(3), "rare-minus", _ids(1, 2), rng) == 2
+        assert select_action(init_posterior(3), "rare-minus", _table(3, 1, 2), rng) == 2
         (a, _), = rng.calls
         assert a.size == 2
 
@@ -223,8 +227,8 @@ class TestSelectAction:
         # feature 0 has been rewarded often; phi should flip the ranking
         state = PosteriorState(np.array([5.0, 1.0]), np.array([1.0, 5.0]))
         theta = [0.9, 0.3]
-        minus = select_action(state, "rare-minus", _ids(0, 1), FakeRng([theta]))
-        plus = select_action(state, "rare-plus", _ids(0, 1), FakeRng([theta]))
+        minus = select_action(state, "rare-minus", _table(2, 0, 1), FakeRng([theta]))
+        plus = select_action(state, "rare-plus", _table(2, 0, 1), FakeRng([theta]))
         assert minus == 0
         assert plus == 1
         phi = expected_phi(state)
@@ -233,7 +237,7 @@ class TestSelectAction:
     def test_sample_variant_uses_one_fused_draw(self):
         state = PosteriorState(np.array([2.0, 1.0]), np.array([1.0, 3.0]))
         rng = FakeRng([[0.5, 0.8, 0.9, 0.1]])
-        picked = select_action(state, "sample", _ids(0, 1), rng)
+        picked = select_action(state, "sample", _table(2, 0, 1), rng)
         (a, b), = rng.calls
         assert a.tolist() == [2.0, 1.0, 3.0, 4.0]  # alpha then alpha+beta
         assert b.tolist() == [1.0, 3.0, 4.0, 1.0]  # beta then alpha**2
@@ -247,7 +251,8 @@ class TestSelectAction:
         # n crosses the scalar cut-off (n pairs, or 2n for sample): the
         # draws and the generator state afterwards equal a bare
         # Generator.beta over the selectable features, in id order, and the
-        # pick is the first maximum of the scores numpy computes from them
+        # pick is the first maximum of the scores numpy computes from them;
+        # greedy scores the posterior means and leaves the generator alone
         gen = np.random.default_rng(100 * n + partial)
         k = 2 * n + 3 if partial else n
         ids = np.sort(gen.choice(k, n, replace=False)) if partial else np.arange(n)
@@ -255,14 +260,18 @@ class TestSelectAction:
             1.0 + gen.integers(0, 50, k).astype(float), 1.0 + gen.integers(0, 50, k).astype(float)
         )
         rng = RecordingRng(31)
-        picked = select_action(state, variant, ids.astype(np.intp), rng)
+        picked = select_action(state, variant, _table(k, *ids.tolist()), rng)
         bare = np.random.Generator(np.random.PCG64(np.random.SeedSequence([31, 0])))
         alpha, beta = state.alpha[ids], state.beta[ids]
-        a, b = _shapes(variant, alpha, beta)
-        expected = bare.beta(a, b)
-        (call,) = rng.calls
-        assert call[0].tolist() == a.tolist() and call[1].tolist() == b.tolist()
-        assert np.array_equal(call[2], expected)
+        if variant == "greedy":
+            expected = None
+            assert rng.calls == []
+        else:
+            a, b = _shapes(variant, alpha, beta)
+            expected = bare.beta(a, b)
+            (call,) = rng.calls
+            assert call[0].tolist() == a.tolist() and call[1].tolist() == b.tolist()
+            assert np.array_equal(call[2], expected)
         assert rng.state_dict() == bare.bit_generator.state
         scores = _scores(variant, alpha, beta, expected)
         assert type(picked) is int
@@ -271,15 +280,22 @@ class TestSelectAction:
     @pytest.mark.parametrize("n", range(2, 13))
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_partial_ids_return_global_id_and_smallest_tie(self, variant, n):
-        # odd ids 1, 3, ..., 2n - 1; the scripted scores tie at the last two
-        # positions, on either side of the scalar cut-off
-        ids = np.arange(1, 2 * n, 2, dtype=np.intp)
-        theta = [0.2] * (n - 2) + [0.7, 0.7]
-        values = theta + [0.5] * n if variant == "sample" else theta
-        rng = FakeRng([values])
-        assert select_action(init_posterior(2 * n + 1), variant, ids, rng) == 2 * n - 3
-        (a, _), = rng.calls
-        assert a.size == (2 * n if variant == "sample" else n)
+        # odd ids 1, 3, ..., 2n - 1; the scores tie at the last two
+        # positions, on either side of the scalar cut-off: scripted draws
+        # for the drawn rules, two equal posterior means above the rest
+        # for greedy
+        ids = list(range(1, 2 * n, 2))
+        state = init_posterior(2 * n + 1)
+        if variant == "greedy":
+            state.alpha[ids[-2:]] = 3.0
+            rng = RecordingRng(0)
+        else:
+            theta = [0.2] * (n - 2) + [0.7, 0.7]
+            rng = FakeRng([theta + [0.5] * n if variant == "sample" else theta])
+        assert select_action(state, variant, _table(2 * n + 1, *ids), rng) == 2 * n - 3
+        if variant != "greedy":
+            (a, _), = rng.calls
+            assert a.size == (2 * n if variant == "sample" else n)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -303,32 +319,28 @@ class TestSelectAction:
         assert short == full.tolist()
 
     @pytest.mark.parametrize(
-        "ids,error",
+        "table,error",
         [
-            (np.array([], dtype=np.intp), EmptyCorpusError),
-            (_ids(-1, 2), DimensionMismatch),
-            (_ids(1, 5), DimensionMismatch),
-            (_ids(1, 9), DimensionMismatch),
-            (np.array([[0, 1], [2, 3]], dtype=np.intp), DimensionMismatch),
-            (np.zeros((0, 2), dtype=np.intp), DimensionMismatch),
-            (np.ones(5, dtype=bool), TypeError),
-            (np.array([0.0, 1.0]), TypeError),
+            (np.array([0, 1], dtype=np.intp), TypeError),
             ([0, 1], TypeError),
+            (FavoredTable(5), EmptyCorpusError),
+            (_table(4, 0, 1), DimensionMismatch),
+            (_table(6, 0, 5), DimensionMismatch),
         ],
-        ids=["empty", "negative", "at-k", "above-k", "2-d", "2-d-empty", "mask", "float", "list"],
+        ids=["array", "list", "empty", "smaller-k", "larger-k"],
     )
     @pytest.mark.parametrize("variant", VARIANTS)
-    def test_bad_ids_raise_and_draw_nothing(self, variant, ids, error):
+    def test_bad_ids_raise_and_draw_nothing(self, variant, table, error):
         rng = RecordingRng(4)
         before = rng.state_dict()
         with pytest.raises(error):
-            select_action(init_posterior(5), variant, ids, rng)
+            select_action(init_posterior(5), variant, table, rng)
         assert rng.calls == []
         assert rng.state_dict() == before
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError, match="rare-minus"):
-            select_action(init_posterior(2), "bogus", _ids(0, 1), SeededRng(0))
+            select_action(init_posterior(2), "bogus", _table(2, 0, 1), SeededRng(0))
 
 
 def test_variant_parse_round_trip():

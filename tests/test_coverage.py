@@ -211,6 +211,23 @@ class TestFavored:
             update_favored(table, rec)
         assert table.entries == {1: ("a", 3.0)}
 
+    @pytest.mark.parametrize(
+        "keys,error",
+        [
+            ((1.5,), TypeError),
+            ((True,), TypeError),
+            ((np.intp(1),), TypeError),
+            ((0, 1, 2), DimensionMismatch),
+            ((0, -1), DimensionMismatch),
+        ],
+        ids=["float", "bool", "numpy-int", "three-in-k2", "negative"],
+    )
+    def test_bad_entry_keys_rejected(self, keys, error):
+        # the table's keys are the ids selection trusts, so a float would be
+        # published as the id it truncates to and a bool read as feature 1
+        with pytest.raises(error):
+            FavoredTable(2, {k: ("x", 1.0) for k in keys})
+
     def test_selectable_ids_track_entries(self):
         table = FavoredTable(k_size=4)
         empty = selectable_features(table)

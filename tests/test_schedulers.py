@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from seedsched import (
     DimensionMismatch,
     EmptyCorpusError,
-    GreedyScheduler,
     InputRecord,
     RoundRobinScheduler,
     SCHEDULER_NAMES,
@@ -141,7 +140,7 @@ def test_greedy_over_ids_matches_the_masked_argmax(data):
     # small integer shapes make ties between selectable features common
     k = data.draw(st.integers(1, 12))
     chosen = data.draw(st.frozensets(st.integers(0, k - 1), min_size=1))
-    sched = GreedyScheduler(k, seed=0)
+    sched = make_scheduler("greedy", k, 0)
     for f in sorted(chosen):
         _seed_arm(sched, f)
     shapes = st.lists(st.integers(1, 4), min_size=k, max_size=k)
@@ -198,7 +197,7 @@ def test_conservation_alpha_beta_vs_hits():
 
 
 def test_greedy_prefers_higher_posterior_mean():
-    sched = GreedyScheduler(2, seed=0)
+    sched = make_scheduler("greedy", 2, 0)
     sched.observe(_record("both", {0, 1}), True)
     # one boring re-run touching only feature 1 drops its mean below 0's
     sched.observe(_record("x", {1}), False)
@@ -207,7 +206,7 @@ def test_greedy_prefers_higher_posterior_mean():
 
 
 def test_greedy_tie_takes_smallest_index():
-    sched = GreedyScheduler(3, seed=0)
+    sched = make_scheduler("greedy", 3, 0)
     for k in range(3):
         _seed_arm(sched, k)
     sched.next()
@@ -369,7 +368,7 @@ class TestSnapshots:
     def test_mismatched_state_rejected(self):
         state = TScheduler(3, "sample", seed=0).state_dict()
         with pytest.raises(ValueError):
-            GreedyScheduler(3, seed=0).load_state(state)
+            make_scheduler("greedy", 3, 0).load_state(state)
         with pytest.raises(ValueError):
             TScheduler(4, "sample", seed=0).load_state(state)
 
