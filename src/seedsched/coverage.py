@@ -8,15 +8,15 @@ length-K hit-count vector is never read as a set of ids.  Only the ids not
 covered before are checked: the covered set holds checked ids alone.
 
 Global coverage is the set of ids covered so far.  An input is interesting
-iff it covers an id outside that set.  Both interestingness policies are
-accepted and select the same inputs: ``new-feature`` asks for a feature
-never covered before, and ``new-bucket`` for a hit count in a bucket not
-seen before for its feature, but with every feature hit once, the only
-bucket is the first, and it is new exactly when the feature is.
+iff it covers an id outside that set.  With every feature hit once, a hit
+count can only fall in a feature's first bucket, so a new bucket is a new
+feature and no other interestingness rule is needed.
 
 The favored table keeps, per feature, the cheapest retained input covering
 it (weight = exec_time * size, strict improvement required to displace the
-incumbent).  Features with a favored entry form the selectable set the
+incumbent).  A table starts empty and grows only through
+:func:`update_favored`, which checks a record's ids before any entry
+changes.  Features with a favored entry form the selectable set the
 schedulers draw from.  The table keeps it as a sorted, read-only ``np.intp``
 array of ids, into which :func:`update_favored` merges the ids it gains, and
 :func:`selectable_features` returns that array without a sort or a copy.
@@ -34,7 +34,6 @@ import numpy as np
 from .errors import DimensionMismatch
 
 __all__ = [
-    "INTERESTING_POLICIES",
     "GlobalCoverage",
     "InputRecord",
     "FavoredTable",
@@ -43,9 +42,6 @@ __all__ = [
     "update_favored",
     "selectable_features",
 ]
-
-INTERESTING_POLICIES = ("new-feature", "new-bucket")
-
 
 @dataclass
 class GlobalCoverage:
@@ -109,19 +105,15 @@ class FavoredTable:
     which the table also keeps sorted for :func:`selectable_features`."""
 
     k_size: int
-    entries: dict[int, tuple[str, float]] = field(default_factory=dict)
+    entries: dict[int, tuple[str, float]] = field(default_factory=dict, init=False)
 
     def __post_init__(self) -> None:
-        # selection trusts the keys, so they are checked like coverage ids
-        _check_ids(self.k_size, frozenset(self.entries))
         # the sorted ids are the first len(entries) slots of a K-long buffer,
         # into which update_favored sorts the ids it gains.  A new, slightly
         # longer array per gain would fragment the heap between the corpus's
         # feature sets (0.7 MB more peak RSS on a 2000-edge tree).
         self._buf = np.empty(self.k_size, dtype=np.intp)
-        held = len(self.entries)
-        self._buf[:held] = sorted(self.entries)
-        self._publish(held)
+        self._publish(0)
 
     def _publish(self, n: int) -> None:
         ids = self._buf[:n]
@@ -154,14 +146,9 @@ def _new_ids(global_cov: GlobalCoverage, coverage: frozenset[int]) -> frozenset[
     return new
 
 
-def classify_interesting(
-    global_cov: GlobalCoverage, coverage: frozenset[int], policy: str = "new-feature"
-) -> bool:
-    """Whether coverage holds an id not covered before, under either policy."""
-    new = _new_ids(global_cov, coverage)
-    if policy not in INTERESTING_POLICIES:
-        raise ValueError(f"unknown interestingness policy {policy!r}")
-    return bool(new)
+def classify_interesting(global_cov: GlobalCoverage, coverage: frozenset[int]) -> bool:
+    """Whether coverage holds an id not covered before."""
+    return bool(_new_ids(global_cov, coverage))
 
 
 def absorb(global_cov: GlobalCoverage, coverage: frozenset[int]) -> GlobalCoverage:

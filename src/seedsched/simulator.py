@@ -174,19 +174,6 @@ class CfgTarget:
         ]
         return cls(tuple(edges))
 
-    @classmethod
-    def branch_demo(cls, p: float = 1.0) -> "CfgTarget":
-        """The four-node branch demo as a target: a 3-edge chain plus an
-        always-reachable exit edge."""
-        return cls(
-            (
-                Edge(0, frozenset(), p),
-                Edge(1, frozenset({0}), p),
-                Edge(2, frozenset({1}), p),
-                Edge(3, frozenset(), p),
-            )
-        )
-
 
 def load_target(path: str | Path) -> CfgTarget:
     """Load a target description from JSON: a list of edge objects."""
@@ -360,8 +347,8 @@ class _TrialRunner:
     # -- persistence ---------------------------------------------------
 
     def state_dict(self) -> dict[str, Any]:
-        """The state a run changes.  The run length, seed and interestingness
-        policy are not stored: a runner built from the same config has them."""
+        """The state a run changes.  The run length and seed are not stored:
+        a runner built from the same config has them."""
         return {
             "kind": self.kind,
             "step": self.step,
@@ -431,18 +418,12 @@ class FuzzCampaignRunner(_TrialRunner):
     kind = "fuzz"
 
     def __init__(
-        self,
-        target: CfgTarget,
-        scheduler: Scheduler,
-        steps: int,
-        seed: int,
-        policy: str = "new-feature",
+        self, target: CfgTarget, scheduler: Scheduler, steps: int, seed: int
     ) -> None:
         super().__init__(scheduler, steps, seed)
         if scheduler.k_size != target.k_size:
             raise ValueError("scheduler feature space must match the target's edge count")
         self.target = target
-        self.policy = policy
         # feature set -> uncovered edges whose prerequisites it covers;
         # derived from the scheduler's coverage, so never snapshotted
         self._candidates: dict[frozenset[int], list[Edge]] = {}
@@ -461,8 +442,7 @@ class FuzzCampaignRunner(_TrialRunner):
         )
 
     def _observe(self, rec: InputRecord) -> bool:
-        features = rec.features
-        interesting = classify_interesting(self.scheduler.global_coverage, features, self.policy)
+        interesting = classify_interesting(self.scheduler.global_coverage, rec.features)
         self.scheduler.observe(rec, interesting)
         return interesting
 
@@ -548,15 +528,10 @@ def run_bandit_trial(
 
 
 def run_fuzz_campaign(
-    target: CfgTarget,
-    scheduler: Scheduler,
-    steps: int,
-    seed: int,
-    trial: int = 0,
-    policy: str = "new-feature",
+    target: CfgTarget, scheduler: Scheduler, steps: int, seed: int, trial: int = 0
 ) -> TrialLog:
     """Run one full synthetic fuzzing campaign and return its log."""
-    runner = FuzzCampaignRunner(target, scheduler, steps, seed, policy)
+    runner = FuzzCampaignRunner(target, scheduler, steps, seed)
     runner.run_to()
     return runner.take_log(trial)
 
@@ -659,7 +634,7 @@ def replay_branch_demo() -> list[DemoRow]:
     emit(0, sched.posterior.alpha, sched.posterior.beta, compute_pbar(sched.posterior))
     for t, (a, b) in enumerate(BRANCH_DEMO_INPUTS, start=1):
         cov = branch_demo_coverage(a, b)
-        interesting = classify_interesting(sched.global_coverage, cov, "new-feature")
+        interesting = classify_interesting(sched.global_coverage, cov)
         rec = InputRecord(id=f"t{t}", size=1, exec_time=1.0, features=cov)
         sched.observe(rec, interesting)
         alphas = sched.posterior.alpha.copy()

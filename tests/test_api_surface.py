@@ -6,7 +6,8 @@ A name in ``seedsched.__all__`` must be read somewhere in ``src/seedsched``
 section.  Dunder names such as ``__version__`` are exempt.  In reverse,
 every call that section shows inline (`` `name(...)` ``) must name an
 attribute of ``seedsched`` or a method of an exported class, so the entry
-of a deleted export cannot linger.
+of a deleted export cannot linger, and each of its ``python`` code blocks
+must run, so a removed parameter cannot linger in an example.
 """
 
 import ast
@@ -51,7 +52,6 @@ def test_every_public_name_has_a_caller_or_a_readme_entry():
     assert not orphans, f"public names with no caller and no README entry: {orphans}"
 
 
-
 def test_every_call_in_the_readme_section_resolves():
     exported = [getattr(seedsched, name) for name in seedsched.__all__]
     classes = [obj for obj in exported if isinstance(obj, type)]
@@ -63,3 +63,11 @@ def test_every_call_in_the_readme_section_resolves():
         if not hasattr(seedsched, name) and not any(hasattr(cls, name) for cls in classes)
     )
     assert not stale, f"README calls with no public function or method: {stale}"
+
+
+def test_every_example_in_the_readme_section_runs(capsys):
+    examples = re.findall(r"^```python\n(.*?)^```", _library_use_section(), re.M | re.S)
+    assert examples, "the 'Library use' section shows no python example"
+    for i, code in enumerate(examples):
+        exec(compile(code, f"README 'Library use' example {i}", "exec"), {})
+    capsys.readouterr()

@@ -9,6 +9,7 @@ from seedsched import (
     DimensionMismatch,
     EmptyCorpusError,
     FavoredTable,
+    InputRecord,
     PosteriorState,
     SeededRng,
     Variant,
@@ -16,6 +17,7 @@ from seedsched import (
     expected_phi,
     init_posterior,
     select_action,
+    update_favored,
     update_posterior,
 )
 from seedsched import bandit
@@ -208,7 +210,10 @@ VARIANTS = ["rare-minus", "rare-plus", "sample", "greedy"]
 
 def _table(k, *ids):
     """A favored table over ``k`` features whose selectable ids are ``ids``."""
-    return FavoredTable(k, {i: (f"in{i}", 1.0) for i in ids})
+    table = FavoredTable(k)
+    if ids:
+        update_favored(table, InputRecord("in", 1, 1.0, frozenset(ids)))
+    return table
 
 
 class TestSelectAction:

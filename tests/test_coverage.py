@@ -17,23 +17,19 @@ from seedsched import (
 )
 from seedsched.simulator import BRANCH_DEMO_INPUTS, branch_demo_coverage
 
-POLICIES = ("new-feature", "new-bucket")
-
 
 class TestClassify:
-    @pytest.mark.parametrize("policy", POLICIES)
-    def test_new_feature_on_uncovered_id(self, policy):
+    def test_new_feature_on_uncovered_id(self):
         gc = GlobalCoverage.empty(3)
         absorb(gc, frozenset({1}))
-        assert classify_interesting(gc, frozenset({0}), policy) is True
-        assert classify_interesting(gc, frozenset({0, 1}), policy) is True
+        assert classify_interesting(gc, frozenset({0})) is True
+        assert classify_interesting(gc, frozenset({0, 1})) is True
 
-    @pytest.mark.parametrize("policy", POLICIES)
-    def test_known_features_are_boring(self, policy):
+    def test_known_features_are_boring(self):
         gc = GlobalCoverage.empty(3)
         absorb(gc, frozenset({0, 1}))
-        assert classify_interesting(gc, frozenset({0}), policy) is False
-        assert classify_interesting(gc, frozenset({0, 1}), policy) is False
+        assert classify_interesting(gc, frozenset({0})) is False
+        assert classify_interesting(gc, frozenset({0, 1})) is False
 
     def test_absorb_unions_the_covered_ids(self):
         gc = GlobalCoverage.empty(5)
@@ -41,11 +37,10 @@ class TestClassify:
         absorb(gc, frozenset({0, 1}))
         assert gc.covered == {0, 1, 4}
 
-    @pytest.mark.parametrize("policy", POLICIES)
-    def test_empty_set_is_boring_and_changes_nothing(self, policy):
+    def test_empty_set_is_boring_and_changes_nothing(self):
         gc = GlobalCoverage.empty(3)
         absorb(gc, frozenset({1}))
-        assert classify_interesting(gc, frozenset(), policy) is False
+        assert classify_interesting(gc, frozenset()) is False
         absorb(gc, frozenset())
         assert gc.covered == {1}
 
@@ -53,9 +48,8 @@ class TestClassify:
     def test_out_of_range_ids_rejected_before_any_change(self, ids):
         gc = GlobalCoverage.empty(3)
         absorb(gc, frozenset({0}))
-        for policy in POLICIES:
-            with pytest.raises(DimensionMismatch):
-                classify_interesting(gc, frozenset(ids), policy)
+        with pytest.raises(DimensionMismatch):
+            classify_interesting(gc, frozenset(ids))
         with pytest.raises(DimensionMismatch):
             absorb(gc, frozenset(ids))
         assert gc.covered == {0}
@@ -83,9 +77,8 @@ class TestClassify:
         gc = GlobalCoverage.empty(50)
         absorb(gc, frozenset({0, 49}))
         coverage = frozenset(set(range(10, 9 + n)) | {bad})
-        for policy in POLICIES:
-            with pytest.raises(TypeError, match="ints"):
-                classify_interesting(gc, coverage, policy)
+        with pytest.raises(TypeError, match="ints"):
+            classify_interesting(gc, coverage)
         with pytest.raises(TypeError, match="ints"):
             absorb(gc, coverage)
         assert gc.covered == {0, 49}
@@ -95,15 +88,11 @@ class TestClassify:
         st.frozensets(st.integers(0, 9)),
         st.lists(st.frozensets(st.integers(0, 9)), max_size=6),
     )
-    def test_new_bucket_subsumes_new_feature(self, coverage, history):
-        # with every id hit once, the two policies give the same verdict:
-        # whether coverage holds an id not covered before
+    def test_interesting_iff_an_id_is_not_covered(self, coverage, history):
         gc = GlobalCoverage.empty(10)
         for past in history:
             absorb(gc, past)
-        verdict = classify_interesting(gc, coverage, "new-feature")
-        assert classify_interesting(gc, coverage, "new-bucket") is verdict
-        assert verdict is (not coverage <= gc.covered)
+        assert classify_interesting(gc, coverage) is (not coverage <= gc.covered)
 
     def test_coverage_validation(self):
         # ids 0 and K - 1 bound the feature space from inside
@@ -116,10 +105,6 @@ class TestClassify:
         with pytest.raises(TypeError):
             absorb(gc, np.array([1, 0, 1]))
         assert gc.covered == {0, 2}
-
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError, match="weird"):
-            classify_interesting(GlobalCoverage.empty(2), frozenset({1}), policy="weird")
 
     def test_empty_rejects_a_nonpositive_size(self):
         with pytest.raises(ValueError):
@@ -211,22 +196,11 @@ class TestFavored:
             update_favored(table, rec)
         assert table.entries == {1: ("a", 3.0)}
 
-    @pytest.mark.parametrize(
-        "keys,error",
-        [
-            ((1.5,), TypeError),
-            ((True,), TypeError),
-            ((np.intp(1),), TypeError),
-            ((0, 1, 2), DimensionMismatch),
-            ((0, -1), DimensionMismatch),
-        ],
-        ids=["float", "bool", "numpy-int", "three-in-k2", "negative"],
-    )
-    def test_bad_entry_keys_rejected(self, keys, error):
-        # the table's keys are the ids selection trusts, so a float would be
-        # published as the id it truncates to and a bool read as feature 1
-        with pytest.raises(error):
-            FavoredTable(2, {k: ("x", 1.0) for k in keys})
+    def test_entries_are_not_an_argument(self):
+        # selection trusts the table's keys, so they come from update_favored
+        # alone, which checks a record's ids first
+        with pytest.raises(TypeError):
+            FavoredTable(2, {0: ("x", 1.0)})
 
     def test_selectable_ids_track_entries(self):
         table = FavoredTable(k_size=4)
@@ -242,7 +216,11 @@ class TestFavored:
             ids[0] = 2
         update_favored(table, InputRecord("z", 1, 0.5, frozenset({0, 1})))
         assert selectable_features(table) is ids  # no id gained
-        assert selectable_features(FavoredTable(4, dict(table.entries))).tolist() == [0, 1, 3]
+        # the ids come out sorted whatever order they were gained in
+        other = FavoredTable(k_size=4)
+        for k in (3, 0, 1):
+            update_favored(other, InputRecord(f"in{k}", 1, 1.0, frozenset({k})))
+        assert selectable_features(other).tolist() == [0, 1, 3]
 
 
 @settings(max_examples=80, deadline=None)

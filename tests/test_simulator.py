@@ -58,7 +58,7 @@ class FullScanRunner(FuzzCampaignRunner):
         return rec
 
     def _observe(self, rec):
-        interesting = classify_interesting(self.scheduler.global_coverage, rec.features, self.policy)
+        interesting = classify_interesting(self.scheduler.global_coverage, rec.features)
         self.scheduler.observe(rec, interesting)
         return interesting
 
@@ -77,6 +77,13 @@ class FullScanRunner(FuzzCampaignRunner):
         else:
             interesting = self._observe(parent)
         self._row(self.scheduler.last_action, interesting, 0.0)
+
+
+def _branch_demo_target():
+    """The four-node branch demo as a target: a 3-edge chain plus an
+    always-reachable exit edge, each discovered on the first try."""
+    prereqs = (frozenset(), frozenset({0}), frozenset({1}), frozenset())
+    return CfgTarget(tuple(Edge(i, pre, 1.0) for i, pre in enumerate(prereqs)))
 
 
 @st.composite
@@ -198,7 +205,7 @@ def test_chain_and_demo_shapes():
     assert [sorted(e.prereqs) for e in chain.edges] == [[], [0], [1], [2], [3]]
     assert [e.id for e in chain.roots] == [0]
 
-    demo = CfgTarget.branch_demo()
+    demo = _branch_demo_target()
     assert demo.k_size == 4
     assert [e.id for e in demo.roots] == [0, 3]
 
@@ -350,29 +357,47 @@ class TestFuzzRunner:
     @pytest.mark.parametrize("name", ["greedy", "round-robin"])
     def test_demo_target_fully_covered_within_three_steps(self, name):
         # with p=1 the branch demo's four features need at most three runs
-        target = CfgTarget.branch_demo()
+        target = _branch_demo_target()
         log = run_fuzz_campaign(target, make_scheduler(name, 4, 0), 3, 0)
         assert log.covered[-1] == 4
 
-    def test_new_bucket_policy_runs(self):
-        target = CfgTarget.chain(4, 1.0)
-        log = run_fuzz_campaign(
-            target, make_scheduler("sample", 4, 0), 30, 0, policy="new-bucket"
-        )
-        assert log.covered[-1] == 4
+    @pytest.mark.parametrize("name", SCHEDULER_NAMES)
+    def test_interesting_exactly_when_corpus_and_coverage_grow(self, name):
+        # every synthesized input covers a new edge and every re-observed
+        # parent covers none: the runner names its next input after the
+        # corpus size, and takes no interestingness policy, on this
+        gen = np.random.default_rng(120)
+        edges = [
+            Edge(
+                i,
+                frozenset(int(gen.integers(0, i)) for _ in range(gen.integers(1, 3)))
+                if i >= 3
+                else frozenset(),
+                float(gen.uniform(0.02, 0.3)),
+            )
+            for i in range(120)
+        ]
+        log = run_fuzz_campaign(CfgTarget(tuple(edges)), make_scheduler(name, 120, 5), 300, 5)
+        # before step 1 the corpus holds one seed input per root, which
+        # covers that root alone
+        corpus = np.diff(log.corpus_size, prepend=3)
+        covered = np.diff(log.covered, prepend=3)
+        assert set(corpus.tolist()) <= {0, 1}
+        assert (corpus == log.interesting).all()
+        assert ((covered > 0) == log.interesting).all()
+        assert 0 < log.interesting.sum() < 300
 
     @settings(max_examples=60, deadline=None)
     @given(
         target=dags(),
         name=st.sampled_from(["sample", "greedy", "uniform"]),
-        policy=st.sampled_from(["new-feature", "new-bucket"]),
         steps=st.integers(1, 60),
         seed=st.integers(0, 2**16),
     )
-    def test_matches_full_edge_scan(self, target, name, policy, steps, seed):
+    def test_matches_full_edge_scan(self, target, name, steps, seed):
         k = target.k_size
-        fast = FuzzCampaignRunner(target, make_scheduler(name, k, seed), steps, seed, policy)
-        slow = FullScanRunner(target, make_scheduler(name, k, seed), steps, seed, policy)
+        fast = FuzzCampaignRunner(target, make_scheduler(name, k, seed), steps, seed)
+        slow = FullScanRunner(target, make_scheduler(name, k, seed), steps, seed)
         fast.run_to()
         slow.run_to()
         a, b = fast.take_log(), slow.take_log()
@@ -397,32 +422,29 @@ class TestRunnerSnapshots:
     @given(
         target=dags(),
         name=st.sampled_from(SCHEDULER_NAMES),
-        policy=st.sampled_from(["new-feature", "new-bucket"]),
         steps=st.integers(2, 60),
         data=st.data(),
     )
     def test_resume_at_a_random_step_gives_the_straight_suffix(
-        self, target, name, policy, steps, data
+        self, target, name, steps, data
     ):
         seed = data.draw(st.integers(0, 2**16))
         cut = data.draw(st.integers(1, steps - 1))
         k = target.k_size
-        straight = FuzzCampaignRunner(target, make_scheduler(name, k, seed), steps, seed, policy)
+        straight = FuzzCampaignRunner(target, make_scheduler(name, k, seed), steps, seed)
         straight.run_to()
         full = straight.take_log()
 
-        first = FuzzCampaignRunner(target, make_scheduler(name, k, seed), steps, seed, policy)
+        first = FuzzCampaignRunner(target, make_scheduler(name, k, seed), steps, seed)
         first.run_to(cut)
         state = json.loads(json.dumps(first.state_dict()))
         covered = state["scheduler"]["covered"]
         assert covered == sorted(first.scheduler.global_coverage.covered)
         assert len(covered) == full.covered[cut - 1]
 
-        # the run length and policy are the config's, as resume builds the
-        # runner; the seed does not matter once the generators are loaded
-        resumed = FuzzCampaignRunner(
-            target, make_scheduler(name, k, seed + 1), steps, seed + 1, policy
-        )
+        # the run length is the config's, as resume builds the runner; the
+        # seed does not matter once the generators are loaded
+        resumed = FuzzCampaignRunner(target, make_scheduler(name, k, seed + 1), steps, seed + 1)
         resumed.load_state(state)
         resumed.run_to()
         suffix = resumed.take_log()
