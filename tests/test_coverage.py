@@ -196,6 +196,30 @@ class TestFavored:
             update_favored(table, rec)
         assert table.entries == {1: ("a", 3.0)}
 
+    @pytest.mark.parametrize(
+        "keys,error",
+        [
+            ((1.5,), TypeError),
+            ((True,), TypeError),
+            ((np.intp(1),), TypeError),
+            ((0, 1, 2), DimensionMismatch),
+            ((0, -1), DimensionMismatch),
+        ],
+        ids=["float", "bool", "numpy-int", "three-in-k2", "negative"],
+    )
+    def test_bad_entry_keys_rejected(self, keys, error):
+        # the table's keys are the ids selection trusts, so a float would be
+        # published as the id it truncates to and a bool read as feature 1;
+        # update_favored is the only way in, and it lets none of them become a key
+        table = FavoredTable(k_size=2)
+        # InputRecord coerces or rejects such ids itself; bypass it to reach the table
+        rec = InputRecord("x", 1, 1.0, frozenset({0}))
+        rec.features = frozenset(keys)
+        with pytest.raises(error):
+            update_favored(table, rec)
+        assert table.entries == {}
+        assert selectable_features(table).tolist() == []
+
     def test_entries_are_not_an_argument(self):
         # selection trusts the table's keys, so they come from update_favored
         # alone, which checks a record's ids first
