@@ -29,6 +29,7 @@ from .errors import ConfigError, DimensionMismatch, EmptyCorpusError, SnapshotEr
 from .experiment import (
     ExperimentConfig,
     ExperimentResult,
+    TrialSummary,
     load_config,
     parse_config,
     resume_experiment,
@@ -93,6 +94,7 @@ __all__ = [
     # experiment
     "ExperimentConfig",
     "ExperimentResult",
+    "TrialSummary",
     "load_config",
     "parse_config",
     "resume_experiment",

@@ -53,7 +53,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.jobs < 1:
         raise ConfigError("--jobs must be >= 1")
     result = run_experiment(config, jobs=args.jobs, snapshot_at=args.snapshot_at)
-    print(f"wrote {len(result.logs)} trial logs to {result.output_dir}")
+    print(f"wrote {len(result.trials)} trial logs to {result.output_dir}")
     print(f"wrote {result.output_dir / 'summary.csv'}")
     if result.snapshot_path is not None:
         print(f"wrote {result.snapshot_path}")
@@ -83,7 +83,7 @@ def _cmd_resume(args: argparse.Namespace) -> int:
     if args.jobs < 1:
         raise ConfigError("--jobs must be >= 1")
     result = resume_experiment(args.snapshot, jobs=args.jobs)
-    print(f"resumed {len(result.logs)} trials; suffix logs in {result.output_dir}")
+    print(f"resumed {len(result.trials)} trials; suffix logs in {result.output_dir}")
     return 0
 
 

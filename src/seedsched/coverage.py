@@ -120,6 +120,12 @@ class FavoredTable:
         ids.flags.writeable = False
         self._ids = ids
 
+    def __setstate__(self, state: dict) -> None:
+        # a pickled view arrives as a writeable copy of itself; view the
+        # buffer again (resume hands loaded runners to worker processes)
+        vars(self).update(state)
+        self._publish(len(self.entries))
+
     def input_for(self, feature: int) -> str:
         return self.entries[feature][0]
 

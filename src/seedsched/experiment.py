@@ -17,7 +17,7 @@ import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, TextIO
 
 import numpy as np
 
@@ -38,6 +38,7 @@ __all__ = [
     "ExperimentConfig",
     "load_config",
     "ExperimentResult",
+    "TrialSummary",
     "run_experiment",
     "write_snapshot",
     "read_snapshot",
@@ -74,6 +75,11 @@ SUMMARY_COLUMNS = (
 )
 
 SNAPSHOT_VERSION = 6
+
+# a task runs its trial this many steps at a time, and appends each
+# chunk's rows to the trial CSV before it runs the next; no task holds
+# more of a log than one chunk
+CHUNK_STEPS = 4096
 
 _CONFIG_KEYS = {
     "environment",
@@ -240,15 +246,85 @@ def _build_runner(config: ExperimentConfig, scheduler_name: str, trial: int):
     return FuzzCampaignRunner(config.target, scheduler, config.steps, seed)
 
 
-def _run_task(args: tuple) -> tuple[str, int, TrialLog, dict | None]:
-    config, scheduler_name, trial, snapshot_at = args
-    runner = _build_runner(config, scheduler_name, trial)
-    state = None
+@dataclass(frozen=True)
+class TrialSummary:
+    """What the summary reads of one trial's rows: the last covered count,
+    the mean regret over the final window of steps, and the coverage
+    timeline (every step divisible by ``sampling_interval``, plus the
+    first and last) with its area."""
+
+    final_covered: int
+    final_regret: float
+    timeline: list[tuple[int, int]]
+    auc: float
+
+
+def _final_window(steps: int) -> int:
+    return max(1, steps // 10)
+
+
+class _SummaryFold:
+    """Folds a trial's log chunks, in step order, into its summary."""
+
+    def __init__(self, config: ExperimentConfig, runner) -> None:
+        self.interval = config.sampling_interval
+        self.ends = (runner.step + 1, runner.steps)
+        self.window_from = config.steps - _final_window(config.steps) + 1
+        self.covered = runner._covered()
+        self.regrets: list[np.ndarray] = []
+        self.timeline: list[tuple[int, int]] = []
+
+    def add(self, log: TrialLog) -> None:
+        interval, ends = self.interval, self.ends
+        # a chunk's timeline also holds the chunk's own first and last step
+        self.timeline += [
+            p for p in coverage_timeline(log, interval) if p[0] % interval == 0 or p[0] in ends
+        ]
+        if log.steps[-1] >= self.window_from:
+            self.regrets.append(log.regret[log.steps >= self.window_from])
+        self.covered = int(log.covered[-1])
+
+    def summary(self) -> TrialSummary:
+        # one mean over the whole window, as over a whole log's last rows
+        regret = float(np.concatenate(self.regrets).mean()) if self.regrets else float("nan")
+        timeline = self.timeline
+        area = auc(timeline) if len(timeline) >= 2 else 0.0
+        return TrialSummary(self.covered, regret, timeline, area)
+
+
+def _stream_trial(
+    config: ExperimentConfig,
+    name: str,
+    trial: int,
+    runner,
+    resumed: bool = False,
+    snapshot_at: int | None = None,
+) -> tuple[TrialSummary, dict | None]:
+    """Run ``runner`` to its end in chunks, appending each chunk's rows to
+    the trial's CSV; returns the trial's summary and, with ``snapshot_at``,
+    the runner's state at that step."""
+    stops = {*range(CHUNK_STEPS, runner.steps, CHUNK_STEPS), runner.steps}
     if snapshot_at is not None:
-        runner.run_to(snapshot_at)
-        state = runner.state_dict()
-    runner.run_to()
-    return scheduler_name, trial, runner.take_log(trial), state
+        stops.add(snapshot_at)
+    fold = _SummaryFold(config, runner)
+    state = None
+    path = Path(config.output_dir) / trial_csv_name(name, trial, resumed)
+    with open_trial_csv(path) as fh:
+        for stop in sorted(s for s in stops if s > runner.step):
+            runner.run_to(stop)
+            if stop == snapshot_at:
+                state = runner.state_dict()
+            log = runner.take_log(trial)
+            write_trial_csv(fh, log)
+            fold.add(log)
+    return fold.summary(), state
+
+
+def _run_task(args: tuple) -> tuple[str, int, TrialSummary, dict | None]:
+    config, name, trial, snapshot_at = args
+    runner = _build_runner(config, name, trial)
+    summary, state = _stream_trial(config, name, trial, runner, snapshot_at=snapshot_at)
+    return name, trial, summary, state
 
 
 def _map_tasks(fn, tasks: list[tuple], jobs: int) -> list:
@@ -263,34 +339,24 @@ def _map_tasks(fn, tasks: list[tuple], jobs: int) -> list:
 @dataclass
 class ExperimentResult:
     config: ExperimentConfig
-    logs: dict[tuple[str, int], TrialLog]
+    trials: dict[tuple[str, int], TrialSummary]
     summary: list[dict[str, Any]]
     output_dir: Path
     snapshot_path: Path | None
 
 
-def _final_window(steps: int) -> int:
-    return max(1, steps // 10)
-
-
-def _summarize(config: ExperimentConfig, logs: dict[tuple[str, int], TrialLog]) -> list[dict[str, Any]]:
+def _summarize(
+    config: ExperimentConfig, trials: dict[tuple[str, int], TrialSummary]
+) -> list[dict[str, Any]]:
     baseline = config.schedulers[0]
-    window = _final_window(config.steps)
     rows = []
     finals_by_sched: dict[str, list[int]] = {}
     for name in config.schedulers:
-        finals_by_sched[name] = [
-            int(logs[(name, i)].covered[-1]) for i in range(config.trials)
-        ]
+        finals_by_sched[name] = [trials[(name, i)].final_covered for i in range(config.trials)]
     for name in config.schedulers:
         finals = finals_by_sched[name]
-        aucs = []
-        regrets = []
-        for i in range(config.trials):
-            log = logs[(name, i)]
-            timeline = coverage_timeline(log, config.sampling_interval)
-            aucs.append(auc(timeline) if len(timeline) >= 2 else 0.0)
-            regrets.append(float(log.regret[-window:].mean()))
+        aucs = [trials[(name, i)].auc for i in range(config.trials)]
+        regrets = [trials[(name, i)].final_regret for i in range(config.trials)]
         cov_lo, cov_hi = bootstrap_ci(finals, seed=config.base_seed)
         auc_lo, auc_hi = bootstrap_ci(aucs, seed=config.base_seed)
         _, p = mann_whitney_u(finals, finals_by_sched[baseline])
@@ -319,7 +385,15 @@ def _format_cell(value: Any) -> str:
     return str(value)
 
 
-def write_trial_csv(path: Path, log: TrialLog) -> None:
+def open_trial_csv(path: Path) -> TextIO:
+    """Open a trial CSV for writing, its header written."""
+    fh = path.open("w", newline="", encoding="ascii")
+    csv.writer(fh).writerow(TRIAL_LOG_COLUMNS)
+    return fh
+
+
+def write_trial_csv(fh: TextIO, log: TrialLog) -> None:
+    """Append the rows of ``log`` to a trial CSV opened by :func:`open_trial_csv`."""
     def ints(column) -> list[int]:
         return np.asarray(column, dtype=np.int64).tolist()
 
@@ -339,9 +413,7 @@ def write_trial_csv(path: Path, log: TrialLog) -> None:
     fixed = io.StringIO()
     csv.writer(fixed, lineterminator="").writerow((log.scheduler, log.trial))
     row = "%d," + fixed.getvalue().replace("%", "%%") + ",%d,%d,%s,%d,%d,%d,%d\r\n"
-    with path.open("w", newline="", encoding="ascii") as fh:
-        csv.writer(fh).writerow(TRIAL_LOG_COLUMNS)
-        fh.writelines(map(row.__mod__, rows))
+    fh.writelines(map(row.__mod__, rows))
 
 
 def write_summary_csv(path: Path, rows: list[dict[str, Any]]) -> None:
@@ -362,27 +434,25 @@ def run_experiment(
     jobs: int = 1,
     snapshot_at: int | None = None,
 ) -> ExperimentResult:
-    """Run all (scheduler, trial) pairs, write CSVs, optionally snapshot."""
+    """Run all (scheduler, trial) pairs, write CSVs, optionally snapshot.
+    Each task writes its own trial CSV as it runs."""
     if snapshot_at is not None and not 1 <= snapshot_at < config.steps:
         raise ConfigError("snapshot step must satisfy 1 <= snapshot_at < steps")
+    out_dir = Path(config.output_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     tasks = [
         (config, name, trial, snapshot_at)
         for name in config.schedulers
         for trial in range(config.trials)
     ]
-    outcomes = _map_tasks(_run_task, tasks, jobs)
-
-    out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    logs: dict[tuple[str, int], TrialLog] = {}
+    trials: dict[tuple[str, int], TrialSummary] = {}
     states = []
-    for name, trial, log, state in outcomes:
-        logs[(name, trial)] = log
-        write_trial_csv(out_dir / trial_csv_name(name, trial), log)
+    for name, trial, summary, state in _map_tasks(_run_task, tasks, jobs):
+        trials[(name, trial)] = summary
         if state is not None:
             states.append({"scheduler": name, "trial": trial, "state": state})
 
-    summary = _summarize(config, logs)
+    summary = _summarize(config, trials)
     write_summary_csv(out_dir / "summary.csv", summary)
 
     snapshot_path = None
@@ -404,7 +474,7 @@ def run_experiment(
         }
         write_snapshot(snapshot_path, payload)
 
-    return ExperimentResult(config, logs, summary, out_dir, snapshot_path)
+    return ExperimentResult(config, trials, summary, out_dir, snapshot_path)
 
 
 # ----------------------------------------------------------------------
@@ -467,22 +537,27 @@ def _check_entries(config: ExperimentConfig, entries: list) -> None:
         seen.add((name, trial))
 
 
-def _resume_task(args: tuple) -> tuple[str, int, TrialLog]:
-    config, entry = args
-    name, trial = entry["scheduler"], entry["trial"]
+def _loaded_runner(config: ExperimentConfig, entry: dict[str, Any]):
     try:
-        runner = _build_runner(config, name, trial)
+        runner = _build_runner(config, entry["scheduler"], entry["trial"])
         runner.load_state(entry["state"])
     except (KeyError, TypeError, ValueError) as exc:
         raise SnapshotError(
             f"snapshot holds a malformed runner state ({type(exc).__name__}: {exc})"
         ) from exc
-    runner.run_to()
-    return name, trial, runner.take_log(trial)
+    return runner
+
+
+def _resume_task(args: tuple) -> tuple[str, int, TrialSummary, None]:
+    config, name, trial, runner = args
+    summary, _ = _stream_trial(config, name, trial, runner, resumed=True)
+    return name, trial, summary, None
 
 
 def resume_experiment(snapshot_path: str | Path, jobs: int = 1) -> ExperimentResult:
-    """Resume a snapshotted campaign; writes suffix logs for each trial."""
+    """Resume a snapshotted campaign; writes suffix logs for each trial.
+    Every runner is loaded before any trial resumes, so a snapshot
+    rejected at any entry writes no log."""
     payload = read_snapshot(snapshot_path)
     try:
         raw_config, entries = payload["config"], list(payload["runners"])
@@ -492,12 +567,15 @@ def resume_experiment(snapshot_path: str | Path, jobs: int = 1) -> ExperimentRes
         ) from exc
     config = parse_config(raw_config, Path(snapshot_path).parent)
     _check_entries(config, entries)
-    outcomes = _map_tasks(_resume_task, [(config, entry) for entry in entries], jobs)
+    tasks = [
+        (config, entry["scheduler"], entry["trial"], _loaded_runner(config, entry))
+        for entry in entries
+    ]
 
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    logs: dict[tuple[str, int], TrialLog] = {}
-    for name, trial, log in outcomes:
-        logs[(name, trial)] = log
-        write_trial_csv(out_dir / trial_csv_name(name, trial, resumed=True), log)
-    return ExperimentResult(config, logs, [], out_dir, None)
+    trials = {
+        (name, trial): summary
+        for name, trial, summary, _ in _map_tasks(_resume_task, tasks, jobs)
+    }
+    return ExperimentResult(config, trials, [], out_dir, None)

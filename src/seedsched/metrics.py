@@ -84,29 +84,26 @@ def _exact_two_sided_p(pooled: Sequence[float], n_a: int, rank_sum_a: float) -> 
 
     Counts, via dynamic programming over doubled midranks (integers), how
     many of the C(n, n_a) equally likely splits put group a's rank sum at
-    least as far from its null mean as observed.
+    least as far from its null mean as observed.  A split and its
+    complement lie equally far from their means, so the smaller group is
+    the one enumerated; the counts are the same integers either way.
     """
     n = len(pooled)
     ranks2 = [int(round(2 * r)) for r in _midranks(pooled)]
-    # dp[j] maps doubled-rank-sum -> number of j-element subsets reaching it
-    dp: list[dict[int, int]] = [dict() for _ in range(n_a + 1)]
-    dp[0][0] = 1
-    for w in ranks2:
-        for j in range(min(n_a, n) - 1, -1, -1):
-            if not dp[j]:
-                continue
-            target = dp[j + 1]
-            for s, cnt in dp[j].items():
-                target[s + w] = target.get(s + w, 0) + cnt
-    center = n_a * (n + 1)  # doubled null mean of the rank sum
-    observed = abs(int(round(2 * rank_sum_a)) - center)
-    total = 0
-    extreme = 0
-    for s, cnt in dp[n_a].items():
-        total += cnt
-        if abs(s - center) >= observed:
-            extreme += cnt
-    return extreme / total
+    observed = abs(int(round(2 * rank_sum_a)) - n_a * (n + 1))  # doubled null mean
+    m = min(n_a, n - n_a)
+    center = m * (n + 1)
+    # counts[j][s]: the j-element subsets whose doubled rank sum is s; none
+    # exceeds C(n, m), so int64 holds them unless that does not fit
+    dtype = np.int64 if math.comb(n, m) < 2**63 else object
+    counts = np.zeros((m + 1, sum(sorted(ranks2)[n - m :]) + 1), dtype=dtype)
+    counts[0, 0] = 1
+    for i, w in enumerate(ranks2):
+        for j in range(min(m, i + 1), 0, -1):
+            counts[j, w:] += counts[j - 1, :-w]
+    sums = np.arange(counts.shape[1])
+    extreme = counts[m, np.abs(sums - center) >= observed].sum()
+    return int(extreme) / int(counts[m].sum())
 
 
 def mann_whitney_u(a: Sequence[float], b: Sequence[float]) -> tuple[float, float]:

@@ -325,3 +325,21 @@ def test_resume_runner_entry_outside_the_config_exits_3(tmp_path, capsys, change
     assert needle in capsys.readouterr().err
     # nothing resumed; trial -1 used to write sample-trial-001-resumed.csv
     assert not list((tmp_path / "out").glob("*-resumed.csv"))
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_resume_rejected_last_runner_exits_3_and_writes_nothing(tmp_path, capsys, jobs):
+    # the trials resume in workers that write their own logs, so each
+    # runner's state is loaded before any of them starts
+    from seedsched.experiment import read_snapshot, write_snapshot
+
+    cfg = _write_config(tmp_path, schedulers=["sample", "round-robin"], trials=2, steps=20)
+    assert main(["simulate", "--config", str(cfg), "--snapshot-at", "5"]) == 0
+    snap = tmp_path / "out" / "snapshot-step5.json"
+    payload = read_snapshot(snap)
+    payload["runners"][-1]["state"]["scheduler"]["cursor"] = -1
+    write_snapshot(snap, payload)  # the checksum still matches
+    capsys.readouterr()
+    assert main(["resume", "--snapshot", str(snap), "--jobs", jobs]) == 3
+    assert "cursor" in capsys.readouterr().err
+    assert not list((tmp_path / "out").glob("*-resumed.csv"))

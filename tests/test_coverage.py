@@ -1,5 +1,8 @@
 """Covered-id sets, interestingness, favored inputs."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +19,10 @@ from seedsched import (
     update_favored,
 )
 from seedsched.simulator import BRANCH_DEMO_INPUTS, branch_demo_coverage
+
+
+def pickle_copy(obj):
+    return pickle.loads(pickle.dumps(obj))
 
 
 class TestClassify:
@@ -174,6 +181,20 @@ class TestFavored:
         update_favored(table, InputRecord("first", 10, 1.0, frozenset({0})))
         update_favored(table, InputRecord("second", 5, 2.0, frozenset({0})))
         assert table.input_for(0) == "first"
+
+    @pytest.mark.parametrize("clone", [pickle_copy, copy.deepcopy], ids=["pickle", "deepcopy"])
+    def test_a_copied_table_views_its_own_buffer(self, clone):
+        # resume sends loaded runners to worker processes by pickle; the
+        # copy's ids must stay a read-only view that later gains update
+        table = FavoredTable(k_size=10)
+        update_favored(table, InputRecord("a", 1, 1.0, frozenset({3, 5})))
+        twin = clone(table)
+        ids = selectable_features(twin)
+        assert ids.tolist() == [3, 5] and not ids.flags.writeable
+        assert ids.base is twin._buf
+        update_favored(twin, InputRecord("b", 1, 1.0, frozenset({0, 9})))
+        assert selectable_features(twin).tolist() == [0, 3, 5, 9]
+        assert selectable_features(table).tolist() == [3, 5]
 
     def test_out_of_range_feature_rejected(self):
         table = FavoredTable(k_size=2)

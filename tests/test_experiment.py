@@ -21,6 +21,7 @@ from seedsched import (
 from seedsched.experiment import (
     SUMMARY_COLUMNS,
     TRIAL_LOG_COLUMNS,
+    open_trial_csv,
     read_snapshot,
     resume_experiment,
     trial_csv_name,
@@ -223,7 +224,8 @@ def test_trial_csv_matches_a_row_by_row_writer(tmp_path, n, scheduler):
         select_ops=np.full(n, 6000, dtype=np.int64),
         update_ops=rng.integers(0, 50, n),
     )
-    write_trial_csv(tmp_path / "columns.csv", log)
+    with open_trial_csv(tmp_path / "columns.csv") as fh:
+        write_trial_csv(fh, log)
     _row_by_row_csv(tmp_path / "rows.csv", log)
     assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
@@ -261,14 +263,19 @@ class TestRunExperiment:
             ).read_bytes()
 
     def test_summary_regret_window(self, tmp_path):
+        # each trial's final-window regret is the mean of its CSV's last
+        # tenth of regrets, to the bit; the summary row averages them
         cfg = parse_config(_base_config(tmp_path / "out"))
         result = run_experiment(cfg)
         window = max(1, cfg.steps // 10)
         for row in result.summary:
-            regrets = [
-                float(result.logs[(row["scheduler"], t)].regret[-window:].mean())
-                for t in range(cfg.trials)
-            ]
+            regrets = []
+            for t in range(cfg.trials):
+                path = result.output_dir / trial_csv_name(row["scheduler"], t)
+                with path.open(newline="") as fh:
+                    column = np.array([float(r["regret"]) for r in csv.DictReader(fh)])
+                regrets.append(float(column[-window:].mean()))
+                assert result.trials[(row["scheduler"], t)].final_regret == regrets[-1]
             assert row["mean_final_regret"] == pytest.approx(sum(regrets) / len(regrets))
         assert result.summary[0]["scheduler"] == "sample"
         assert result.summary[0]["mwu_p_vs_baseline"] == 1.0  # baseline vs itself
@@ -543,6 +550,19 @@ class TestSnapshotResume:
             )
             assert suffix[1:] == full[11:]
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_a_rejected_last_runner_resumes_nothing(self, tmp_path, jobs):
+        # every runner is loaded before any trial resumes and writes its
+        # log, so a bad state in the last entry leaves no suffix log at all
+        cfg = parse_config(_base_config(tmp_path / "out", steps=20))
+        result = run_experiment(cfg, snapshot_at=10)
+        payload = read_snapshot(result.snapshot_path)
+        payload["runners"][-1]["state"]["env_rng"]["state"]["state"] = -1
+        write_snapshot(result.snapshot_path, payload)
+        with pytest.raises(SnapshotError, match="rng state"):
+            resume_experiment(result.snapshot_path, jobs=jobs)
+        assert not list((tmp_path / "out").glob("*-resumed.csv"))
+
     def test_a_subset_of_the_runners_resumes(self, tmp_path):
         cfg = parse_config(_base_config(tmp_path / "out", steps=20))
         result = run_experiment(cfg, snapshot_at=10)
@@ -550,7 +570,11 @@ class TestSnapshotResume:
         del payload["runners"][1:3]
         write_snapshot(result.snapshot_path, payload)
         resumed = resume_experiment(result.snapshot_path)
-        assert sorted(resumed.logs) == [("sample", 0), ("uniform", 1)]
+        assert sorted(resumed.trials) == [("sample", 0), ("uniform", 1)]
+        assert sorted(p.name for p in (tmp_path / "out").glob("*-resumed.csv")) == [
+            trial_csv_name("sample", 0, resumed=True),
+            trial_csv_name("uniform", 1, resumed=True),
+        ]
 
     @pytest.mark.parametrize(
         "scheduler,change,needle",

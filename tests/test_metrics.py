@@ -1,5 +1,8 @@
 """AUC, Mann-Whitney U, bootstrap CI, consistency, overhead summaries."""
 
+import itertools
+import time
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -120,6 +123,49 @@ class TestMannWhitney:
         ref = scipy.stats.mannwhitneyu(a, b, alternative="two-sided", method="exact")
         assert u == pytest.approx(float(ref.statistic))
         assert p == pytest.approx(float(ref.pvalue))
+
+
+def _brute_force_p(a, b) -> float:
+    """Two-sided permutation p over every way to pick len(a) of the pooled
+    values, by doubled midranks: 2 * (number below) + (number equal) + 1."""
+    pooled = list(a) + list(b)
+    n, n_a = len(pooled), len(a)
+    ranks2 = [2 * sum(w < v for w in pooled) + sum(w == v for w in pooled) + 1 for v in pooled]
+    center = n_a * (n + 1)
+    observed = abs(sum(ranks2[:n_a]) - center)
+    splits = list(itertools.combinations(ranks2, n_a))
+    extreme = sum(abs(sum(split) - center) >= observed for split in splits)
+    return extreme / len(splits)
+
+
+def _small_samples():
+    rng = np.random.default_rng(20)
+    for n_a in range(1, 6):
+        for n_b in range(1, 8):
+            for levels in (2, 3, 9):
+                a = rng.integers(0, levels, n_a) / 2
+                b = rng.integers(0, levels, n_b) / 2
+                yield pytest.param(a.tolist(), b.tolist(), id=f"{n_a}-{n_b}-levels{levels}")
+    # group a large, group b small: still the exact test, by b's splits
+    yield pytest.param([0, 1, 1, 2, 3, 3, 3, 4, 5], [1, 3, 6], id="9-3")
+    yield pytest.param([2] * 10, [2, 2], id="all-tied")
+
+
+class TestExactMannWhitney:
+    @pytest.mark.parametrize("a,b", _small_samples())
+    def test_matches_brute_force_enumeration(self, a, b):
+        assert mann_whitney_u(a, b)[1] == _brute_force_p(a, b)
+        assert mann_whitney_u(b, a)[1] == _brute_force_p(b, a)
+
+    def test_a_small_sample_against_a_large_one_is_fast(self):
+        rng = np.random.default_rng(3)
+        a, b = rng.integers(0, 50, 3).tolist(), rng.integers(0, 50, 1600).tolist()
+        start = time.perf_counter()
+        _, p = mann_whitney_u(a, b)
+        _, p_swapped = mann_whitney_u(b, a)
+        # the dict-based count took 0.33 s one way and minutes the other
+        assert time.perf_counter() - start < 1.0
+        assert p == p_swapped and 0.0 < p <= 1.0
 
 
 class TestBootstrap:
