@@ -328,10 +328,12 @@ def _run_task(args: tuple) -> tuple[str, int, TrialSummary, dict | None]:
 
 
 def _map_tasks(fn, tasks: list[tuple], jobs: int) -> list:
-    """``fn`` over ``tasks`` in order, in ``jobs`` worker processes if more
-    than one."""
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    """``fn`` over ``tasks`` in order, in up to ``jobs`` worker processes
+    but no more than there are tasks; in this process when that is one.
+    (Under ``fork`` the pool starts all its workers at the first submit.)"""
+    workers = min(jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, tasks))
     return [fn(t) for t in tasks]
 
@@ -565,7 +567,10 @@ def resume_experiment(snapshot_path: str | Path, jobs: int = 1) -> ExperimentRes
         raise SnapshotError(
             f"snapshot payload is malformed ({type(exc).__name__}: {exc})"
         ) from exc
-    config = parse_config(raw_config, Path(snapshot_path).parent)
+    try:
+        config = parse_config(raw_config, Path(snapshot_path).parent)
+    except ConfigError as exc:
+        raise SnapshotError(f"snapshot holds an invalid config: {exc}") from exc
     _check_entries(config, entries)
     tasks = [
         (config, entry["scheduler"], entry["trial"], _loaded_runner(config, entry))

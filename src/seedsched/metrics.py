@@ -33,11 +33,10 @@ def auc(timeline: Sequence[tuple[float, float]]) -> float:
     """
     if len(timeline) < 2:
         raise ValueError("auc needs at least two timeline samples")
-    steps = np.asarray([t for t, _ in timeline], dtype=np.float64)
-    values = np.asarray([v for _, v in timeline], dtype=np.float64)
-    if np.any(np.diff(steps) <= 0):
-        raise ValueError("timeline steps must be strictly increasing")
+    steps, values = np.asarray(timeline, dtype=np.float64).T
     widths = np.diff(steps)
+    if np.any(widths <= 0):
+        raise ValueError("timeline steps must be strictly increasing")
     return float(np.sum(widths * (values[:-1] + values[1:]) / 2.0))
 
 
@@ -50,6 +49,8 @@ def coverage_timeline(log: TrialLog, interval: int = 100) -> list[tuple[int, int
     if interval < 1:
         raise ValueError("interval must be at least 1")
     steps = log.steps
+    if steps.size == 0:
+        raise ValueError("coverage_timeline needs a non-empty log")
     covered = log.covered
     keep = (steps % interval == 0)
     keep[0] = True
@@ -60,45 +61,26 @@ def coverage_timeline(log: TrialLog, interval: int = 100) -> list[tuple[int, int
 # ----------------------------------------------------------------------
 # Mann-Whitney U
 
-def _midranks(pooled: Sequence[float]) -> list[float]:
-    order = sorted(range(len(pooled)), key=lambda i: pooled[i])
-    ranks = [0.0] * len(pooled)
-    i = 0
-    while i < len(order):
-        j = i
-        while j + 1 < len(order) and pooled[order[j + 1]] == pooled[order[i]]:
-            j += 1
-        mid = (i + j) / 2.0 + 1.0
-        for idx in order[i : j + 1]:
-            ranks[idx] = mid
-        i = j + 1
-    return ranks
-
-
-def _normal_sf(z: float) -> float:
-    return 0.5 * math.erfc(z / math.sqrt(2.0))
-
-
-def _exact_two_sided_p(pooled: Sequence[float], n_a: int, rank_sum_a: float) -> float:
+def _exact_two_sided_p(ranks2: np.ndarray, n_a: int) -> float:
     """Permutation p-value by exact enumeration of group-a assignments.
 
-    Counts, via dynamic programming over doubled midranks (integers), how
-    many of the C(n, n_a) equally likely splits put group a's rank sum at
-    least as far from its null mean as observed.  A split and its
-    complement lie equally far from their means, so the smaller group is
-    the one enumerated; the counts are the same integers either way.
+    ``ranks2`` holds the pooled sample's doubled midranks (integers), group
+    a first.  Counts, by dynamic programming over them, how many of the
+    C(n, n_a) equally likely splits put group a's rank sum at least as far
+    from its null mean as observed.  A split and its complement lie equally
+    far from their means, so the smaller group is the one enumerated; the
+    counts are the same integers either way.
     """
-    n = len(pooled)
-    ranks2 = [int(round(2 * r)) for r in _midranks(pooled)]
-    observed = abs(int(round(2 * rank_sum_a)) - n_a * (n + 1))  # doubled null mean
+    n = ranks2.size
+    observed = abs(int(ranks2[:n_a].sum()) - n_a * (n + 1))  # doubled null mean
     m = min(n_a, n - n_a)
     center = m * (n + 1)
     # counts[j][s]: the j-element subsets whose doubled rank sum is s; none
     # exceeds C(n, m), so int64 holds them unless that does not fit
     dtype = np.int64 if math.comb(n, m) < 2**63 else object
-    counts = np.zeros((m + 1, sum(sorted(ranks2)[n - m :]) + 1), dtype=dtype)
+    counts = np.zeros((m + 1, int(np.sort(ranks2)[n - m :].sum()) + 1), dtype=dtype)
     counts[0, 0] = 1
-    for i, w in enumerate(ranks2):
+    for i, w in enumerate(ranks2.tolist()):
         for j in range(min(m, i + 1), 0, -1):
             counts[j, w:] += counts[j - 1, :-w]
     sums = np.arange(counts.shape[1])
@@ -119,30 +101,21 @@ def mann_whitney_u(a: Sequence[float], b: Sequence[float]) -> tuple[float, float
     n_a, n_b = len(a), len(b)
     if n_a == 0 or n_b == 0:
         raise ValueError("both samples must be non-empty")
-    pooled = a + b
-    ranks = _midranks(pooled)
-    rank_sum_a = sum(ranks[:n_a])
-    u_a = rank_sum_a - n_a * (n_a + 1) / 2.0
-    mean_u = n_a * n_b / 2.0
+    # one ranking: a tie group of t values ending at sorted position c has
+    # midrank c - (t - 1) / 2, kept doubled so that it is an integer
+    _, inverse, ties = np.unique(a + b, return_inverse=True, return_counts=True)
+    ranks2 = (2 * np.cumsum(ties) - ties + 1)[inverse]
+    u_a = (int(ranks2[:n_a].sum()) - n_a * (n_a + 1)) / 2
 
-    if min(n_a, n_b) >= 8:
-        n = n_a + n_b
-        # tie correction over groups of equal pooled values
-        tie_term = 0.0
-        seen: dict[float, int] = {}
-        for v in pooled:
-            seen[v] = seen.get(v, 0) + 1
-        for t in seen.values():
-            tie_term += t**3 - t
-        var_u = n_a * n_b / 12.0 * ((n + 1) - tie_term / (n * (n - 1)))
-        if var_u <= 0.0:
-            return u_a, 1.0
-        diff = abs(u_a - mean_u)
-        z = max(diff - 0.5, 0.0) / math.sqrt(var_u)
-        p = min(1.0, 2.0 * _normal_sf(z))
-        return u_a, p
-
-    return u_a, _exact_two_sided_p(pooled, n_a, rank_sum_a)
+    if min(n_a, n_b) < 8:
+        return u_a, _exact_two_sided_p(ranks2, n_a)
+    n = n_a + n_b
+    tie_term = sum(t**3 - t for t in ties.tolist())  # Python ints: exact
+    var_u = n_a * n_b / 12.0 * ((n + 1) - tie_term / (n * (n - 1)))
+    if var_u <= 0.0:
+        return u_a, 1.0
+    z = max(abs(u_a - n_a * n_b / 2.0) - 0.5, 0.0) / math.sqrt(var_u)
+    return u_a, min(1.0, math.erfc(z / math.sqrt(2.0)))
 
 
 # ----------------------------------------------------------------------

@@ -107,6 +107,23 @@ def test_resume_corrupt_snapshot_exits_3(tmp_path, capsys):
     assert "checksum" in capsys.readouterr().err
 
 
+def test_resume_invalid_embedded_config_exits_3(tmp_path, capsys):
+    # a checksummed snapshot whose config fails to parse is a corrupt
+    # snapshot (exit 3), not a bad config file (exit 2)
+    from seedsched.experiment import read_snapshot, write_snapshot
+
+    cfg = _write_config(tmp_path, steps=20)
+    assert main(["simulate", "--config", str(cfg), "--snapshot-at", "5"]) == 0
+    snap = tmp_path / "out" / "snapshot-step5.json"
+    payload = read_snapshot(snap)
+    payload["config"]["trials"] = "x"
+    write_snapshot(snap, payload)  # the checksum still matches
+    capsys.readouterr()
+    assert main(["resume", "--snapshot", str(snap)]) == 3
+    assert "invalid config" in capsys.readouterr().err
+    assert not list((tmp_path / "out").glob("*-resumed.csv"))
+
+
 def test_simulate_inline_edges_without_optional_keys(tmp_path, capsys):
     edges = [{"id": 0, "p": 1.0}, {"id": 1, "prereqs": [0], "p": 0.5}]
     cfg = _write_config(tmp_path, environment={"edges": edges}, steps=5)

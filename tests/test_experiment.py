@@ -18,6 +18,7 @@ from seedsched import (
     parse_config,
     run_experiment,
 )
+from seedsched import experiment
 from seedsched.experiment import (
     SUMMARY_COLUMNS,
     TRIAL_LOG_COLUMNS,
@@ -327,6 +328,51 @@ class TestRunExperiment:
             run_experiment(cfg, snapshot_at=0)
         with pytest.raises(ConfigError):
             run_experiment(cfg, snapshot_at=40)
+
+
+class TestWorkerPool:
+    """``--jobs`` is an upper bound: a pool starts no more workers than
+    there are (scheduler, trial) tasks, and one task runs in-process."""
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        built = []
+
+        class RecordingPool:
+            # stands in for ProcessPoolExecutor, so no process starts
+            def __init__(self, max_workers):
+                built.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordingPool)
+        return built
+
+    def test_simulate_starts_a_worker_per_task_at_most(self, tmp_path, pools):
+        run_experiment(parse_config(_base_config(tmp_path / "out")), jobs=64)
+        assert pools == [4]
+
+    def test_simulate_runs_a_single_task_in_process(self, tmp_path, pools):
+        cfg = parse_config(_base_config(tmp_path / "out", schedulers=["sample"], trials=1))
+        run_experiment(cfg, jobs=64)
+        assert pools == []
+
+    def test_resume_starts_a_worker_per_task_at_most(self, tmp_path, pools):
+        result = run_experiment(parse_config(_base_config(tmp_path / "out")), snapshot_at=20)
+        resume_experiment(result.snapshot_path, jobs=64)
+        assert pools == [4]
+        payload = read_snapshot(result.snapshot_path)
+        del payload["runners"][1:]
+        write_snapshot(result.snapshot_path, payload)
+        resume_experiment(result.snapshot_path, jobs=64)
+        assert pools == [4]
 
 
 def _rename_scheduler(entry, name):
@@ -696,6 +742,14 @@ class TestSnapshotResume:
         write_snapshot(path, payload)
         with pytest.raises(SnapshotError, match="payload"):
             resume_experiment(path)
+
+    def test_invalid_embedded_config_is_snapshot_error(self, tmp_path):
+        result = run_experiment(parse_config(_base_config(tmp_path / "out")), snapshot_at=20)
+        payload = read_snapshot(result.snapshot_path)
+        payload["config"]["trials"] = "x"
+        write_snapshot(result.snapshot_path, payload)  # the checksum still matches
+        with pytest.raises(SnapshotError, match="invalid config.*trials"):
+            resume_experiment(result.snapshot_path)
 
     def test_checksum_detects_corruption(self, tmp_path):
         path = tmp_path / "snap.json"

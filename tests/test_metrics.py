@@ -1,6 +1,7 @@
 """AUC, Mann-Whitney U, bootstrap CI, consistency, overhead summaries."""
 
 import itertools
+import math
 import time
 
 import numpy as np
@@ -19,6 +20,7 @@ from seedsched import (
     overhead_summary,
     run_bandit_trial,
 )
+from seedsched.simulator import _log_from_rows
 
 
 class TestAuc:
@@ -60,6 +62,11 @@ class TestCoverageTimeline:
     def test_bad_interval(self):
         with pytest.raises(ValueError):
             coverage_timeline(self._log(5), interval=0)
+
+    def test_empty_log_is_value_error(self):
+        # an empty log has no first or last step to keep
+        with pytest.raises(ValueError, match="empty"):
+            coverage_timeline(_log_from_rows("x", 0, []))
 
     def test_feeds_auc(self):
         log = self._log(300)
@@ -123,6 +130,40 @@ class TestMannWhitney:
         ref = scipy.stats.mannwhitneyu(a, b, alternative="two-sided", method="exact")
         assert u == pytest.approx(float(ref.statistic))
         assert p == pytest.approx(float(ref.pvalue))
+
+
+def _normal_reference(a, b) -> tuple[float, float]:
+    """U and the tie-corrected normal p, ranked independently: scipy's
+    midranks give U, and each value's tie group size t = max rank - min
+    rank + 1 gives the tie term, sum over groups of t**3 - t, as the sum
+    over values of t**2 - 1."""
+    n_a, n_b = len(a), len(b)
+    n = n_a + n_b
+    pooled = list(a) + list(b)
+    u = float(scipy.stats.rankdata(pooled)[:n_a].sum()) - n_a * (n_a + 1) / 2.0
+    lo = scipy.stats.rankdata(pooled, method="min").astype(int)
+    hi = scipy.stats.rankdata(pooled, method="max").astype(int)
+    tie_term = sum(int(t) ** 2 - 1 for t in hi - lo + 1)
+    var_u = n_a * n_b / 12.0 * ((n + 1) - tie_term / (n * (n - 1)))
+    z = max(abs(u - n_a * n_b / 2.0) - 0.5, 0.0) / math.sqrt(var_u)
+    return u, min(1.0, math.erfc(z / math.sqrt(2.0)))
+
+
+def _tie_heavy_samples():
+    rng = np.random.default_rng(17)
+    for n_a, n_b in [(8, 8), (8, 13), (9, 30), (25, 40), (60, 11)]:
+        for levels in (2, 3, 6):
+            a = rng.integers(0, levels, n_a) / 2
+            b = rng.integers(1, levels + 1, n_b) / 2
+            yield pytest.param(a.tolist(), b.tolist(), id=f"{n_a}-{n_b}-levels{levels}")
+    yield pytest.param([0.0] * 9 + [1.0], [1.0] * 9 + [0.0], id="u-at-its-mean")
+
+
+class TestNormalMannWhitney:
+    @pytest.mark.parametrize("a,b", _tie_heavy_samples())
+    def test_matches_an_independent_ranking_bit_for_bit(self, a, b):
+        assert mann_whitney_u(a, b) == _normal_reference(a, b)
+        assert mann_whitney_u(b, a) == _normal_reference(b, a)
 
 
 def _brute_force_p(a, b) -> float:
