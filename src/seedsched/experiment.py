@@ -270,7 +270,7 @@ class _SummaryFold:
         self.interval = config.sampling_interval
         self.ends = (runner.step + 1, runner.steps)
         self.window_from = config.steps - _final_window(config.steps) + 1
-        self.covered = runner._covered()
+        self.covered = len(runner.scheduler.global_coverage.covered)
         self.regrets: list[np.ndarray] = []
         self.timeline: list[tuple[int, int]] = []
 

@@ -129,9 +129,13 @@ class Scheduler:
 
     def observe(self, record: InputRecord, interesting: bool) -> None:
         features = record.features
+        coverage = self.global_coverage
         # absorb rejects bad ids before it changes anything, so the
-        # posterior and the corpus only see features that were accepted
-        absorb(self.global_coverage, features)
+        # posterior and the corpus only see features that were accepted;
+        # covered ids were checked when they were absorbed, so a frozenset
+        # of them alone needs no call
+        if type(features) is not frozenset or not features <= coverage.covered:
+            absorb(coverage, features)
         self._learn(features, interesting)
         if interesting and record.id not in self.corpus:
             self.corpus[record.id] = record
@@ -230,6 +234,12 @@ class TScheduler(Scheduler):
         self.name = self.variant.value
         self.posterior: PosteriorState = init_posterior(k_size)
         self.favored = FavoredTable(k_size)
+        # K scores (theta draws or posterior means) + argmax scan (K), plus
+        # K psi draws or phi reads; an upper bound, as only the selectable
+        # features are scored
+        self._select_ops = 2 * self.k_size
+        if self.variant in (Variant.RARE_PLUS, Variant.SAMPLE):
+            self._select_ops += self.k_size
 
     def _learn(self, covered: frozenset[int], interesting: bool) -> None:
         bandit.update_posterior(self.posterior, covered, interesting)
@@ -239,13 +249,7 @@ class TScheduler(Scheduler):
 
     def _choose(self) -> tuple[str, int, int]:
         action = bandit.select_action(self.posterior, self.variant, self.favored, self.rng)
-        # K scores (theta draws or posterior means) + argmax scan (K), plus
-        # K psi draws or phi reads; an upper bound, as only the selectable
-        # features are scored
-        ops = 2 * self.k_size
-        if self.variant in (Variant.RARE_PLUS, Variant.SAMPLE):
-            ops += self.k_size
-        return self.favored.input_for(action), action, ops
+        return self.favored.input_for(action), action, self._select_ops
 
     def state_dict(self) -> dict[str, Any]:
         state = super().state_dict()

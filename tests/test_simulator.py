@@ -24,6 +24,7 @@ from seedsched import (
 )
 from seedsched.coverage import InputRecord, classify_interesting
 from seedsched.simulator import (
+    _UNIFORM_BLOCK,
     BRANCH_DEMO_INPUTS,
     BRANCH_DEMO_NODES,
     BRANCH_DEMO_REFERENCE,
@@ -41,12 +42,14 @@ class FullScanRunner(FuzzCampaignRunner):
     """Reference fuzz runner: every step scans all K edges, drawing one
     uniform per undiscovered edge whose prerequisites the parent covers, in
     id order, and observes the input's features as its coverage.  It keeps
-    its own set of discovered edges and count of synthesized inputs, where
-    the runner under test reads both from its scheduler."""
+    its own set of discovered edges and count of synthesized inputs, and
+    logs those, where the runner under test reads both from its scheduler.
+    ``scans`` counts the steps its own loop took."""
 
     def __init__(self, *args, **kwargs):
         self.discovered = set()
         self.synth_count = 0
+        self.scans = 0
         super().__init__(*args, **kwargs)
 
     def _synth(self, features, source, id_prefix):
@@ -57,26 +60,38 @@ class FullScanRunner(FuzzCampaignRunner):
         self.discovered |= features
         return rec
 
-    def _observe(self, rec):
-        interesting = classify_interesting(self.scheduler.global_coverage, rec.features)
-        self.scheduler.observe(rec, interesting)
-        return interesting
-
-    def _advance(self):
-        parent = self.scheduler.corpus[self.scheduler.next()]
-        unlocked = [
-            e
-            for e in self.target.edges
-            if e.id not in self.discovered
-            and e.prereqs <= parent.features
-            and self.env_rng.random() < e.p
-        ]
-        if unlocked:
-            features = parent.features | {e.id for e in unlocked}
-            interesting = self._observe(self._synth(features, unlocked[0], "input"))
-        else:
-            interesting = self._observe(parent)
-        self._row(self.scheduler.last_action, interesting, 0.0)
+    def _run(self, stop):
+        sched = self.scheduler
+        while self.step < stop:
+            self.step += 1
+            self.scans += 1
+            parent = sched.corpus[sched.next()]
+            unlocked = [
+                e
+                for e in self.target.edges
+                if e.id not in self.discovered
+                and e.prereqs <= parent.features
+                and self.env_rng.random() < e.p
+            ]
+            if unlocked:
+                features = parent.features | {e.id for e in unlocked}
+                rec = self._synth(features, unlocked[0], "input")
+            else:
+                rec = parent
+            interesting = classify_interesting(sched.global_coverage, rec.features)
+            sched.observe(rec, interesting)
+            self.rows.append(
+                (
+                    self.step,
+                    sched.last_action,
+                    interesting,
+                    0.0,
+                    len(self.discovered),
+                    self.synth_count,
+                    sched.last_select_ops,
+                    sched.last_update_ops,
+                )
+            )
 
 
 def _branch_demo_target():
@@ -408,6 +423,8 @@ class TestFuzzRunner:
         assert len(fast.scheduler.corpus) == slow.synth_count
         assert fast.scheduler.insertion_order == slow.scheduler.insertion_order
         assert fast.env_rng.state_dict() == slow.env_rng.state_dict()
+        # the oracle's own scan drove every step
+        assert slow.scans == steps
 
     def test_same_seed_reproduces(self):
         target = CfgTarget.chain(8, 0.2)
@@ -469,6 +486,44 @@ class TestRunnerSnapshots:
         assert suffix.steps.tolist() == list(range(61, 121))
         assert suffix.actions.tolist() == full.actions[60:].tolist()
         assert suffix.regret.tolist() == full.regret[60:].tolist()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        name=st.sampled_from(SCHEDULER_NAMES),
+        steps=st.integers(1, 3 * _UNIFORM_BLOCK + 50),
+        data=st.data(),
+    )
+    def test_arms_stops_and_resume_match_a_straight_run(self, name, steps, data):
+        # an arms runner draws its uniforms in blocks within a run_to call:
+        # a stop inside a straight run's block, or a snapshot there, must
+        # leave the generators where one scalar draw per step would
+        seed = data.draw(st.integers(0, 2**16))
+        stops = data.draw(st.lists(st.integers(1, steps + 10), max_size=6))
+        cut = data.draw(st.integers(1, steps))
+        env = BernoulliArmsEnv((0.7, 0.8, 0.9))
+
+        straight = BernoulliTrialRunner(env, make_scheduler(name, 3, seed), steps, seed)
+        straight.run_to()
+        full = straight.take_log()
+
+        runner = BernoulliTrialRunner(env, make_scheduler(name, 3, seed), steps, seed)
+        logs = []
+        for stop in sorted(stops + [cut]):
+            runner.run_to(stop)
+            logs.append(runner.take_log())
+            if stop == cut:
+                state = json.loads(json.dumps(runner.state_dict()))
+                runner = BernoulliTrialRunner(
+                    env, make_scheduler(name, 3, seed + 1), steps, seed + 1
+                )
+                runner.load_state(state)
+        runner.run_to()
+        logs.append(runner.take_log())
+        for column in _LOG_COLUMNS:
+            pieces = [getattr(log, column).tolist() for log in logs]
+            assert sum(pieces, []) == getattr(full, column).tolist(), column
+        assert runner.env_rng.state_dict() == straight.env_rng.state_dict()
+        assert runner.scheduler.rng.state_dict() == straight.scheduler.rng.state_dict()
 
     def test_fuzz_snapshot_resume_matches_straight_run(self):
         target = CfgTarget.chain(6, 0.3)
