@@ -30,6 +30,8 @@ from .simulator import (
     CfgTarget,
     FuzzCampaignRunner,
     TrialLog,
+    _check_fields,
+    _read_json,
     load_target,
     parse_edges,
 )
@@ -81,20 +83,44 @@ SNAPSHOT_VERSION = 6
 # more of a log than one chunk
 CHUNK_STEPS = 4096
 
-_CONFIG_KEYS = {
-    "environment",
-    "schedulers",
-    "trials",
-    "steps",
-    "base_seed",
-    "output_dir",
-    "sampling_interval",
-    "interesting_policy",
-}
-
 # accepted for existing configs; with every feature hit once, both select
 # the same inputs, so nothing below the config reads the key
 INTERESTING_POLICIES = ("new-feature", "new-bucket")
+
+
+def _is_scheduler_list(value: Any) -> bool:
+    return (
+        isinstance(value, list)
+        and bool(value)
+        and all(name in SCHEDULER_NAMES for name in value)
+        and len(set(value)) == len(value)
+    )
+
+
+# config key -> (value check, what the value must be); a snapshot's copy of
+# the config holds these keys in this order
+_CONFIG_FIELDS = {
+    "environment": (lambda v: isinstance(v, dict), "an object"),
+    "schedulers": (
+        _is_scheduler_list,
+        f"a non-empty list of scheduler names, none repeated, from {', '.join(SCHEDULER_NAMES)}",
+    ),
+    "trials": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
+    "steps": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
+    "base_seed": (lambda v: _is_int(v) and v >= 0, "an integer >= 0"),
+    "output_dir": (lambda v: isinstance(v, str) and bool(v), "a path string"),
+    # the coverage timeline takes int64 steps modulo the interval
+    "sampling_interval": (lambda v: _is_int(v) and 1 <= v < 2**63, "an integer in [1, 2**63)"),
+    "interesting_policy": (lambda v: v in INTERESTING_POLICIES, f"one of {INTERESTING_POLICIES}"),
+}
+
+# the optional keys; the others are required
+_CONFIG_DEFAULTS = {
+    "base_seed": 0,
+    "output_dir": "results",
+    "sampling_interval": 100,
+    "interesting_policy": "new-feature",
+}
 
 
 @dataclass(frozen=True)
@@ -133,24 +159,16 @@ class ExperimentConfig:
         }
 
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise ConfigError(message)
-
-
-def _parse_environment(env: Any, base_dir: Path) -> tuple[tuple[float, ...] | None, CfgTarget | None]:
-    _require(isinstance(env, dict), "'environment' must be an object")
+def _parse_environment(env: dict, base_dir: Path) -> tuple[tuple[float, ...] | None, CfgTarget | None]:
     keys = set(env)
     if keys == {"arms"}:
         arms = env["arms"]
-        _require(
-            isinstance(arms, list) and arms and all(map(_is_number, arms)),
-            "'environment.arms' must be a non-empty list of numbers",
-        )
-        _require(all(0.0 < float(a) <= 1.0 for a in arms), "arm probabilities must lie in (0, 1]")
-        return tuple(float(a) for a in arms), None
+        if not (isinstance(arms, list) and arms and all(map(_is_number, arms))):
+            raise ConfigError("'environment.arms' must be a non-empty list of numbers")
+        return BernoulliArmsEnv(arms).theta_star, None
     if keys == {"target"}:
-        _require(isinstance(env["target"], str), "'environment.target' must be a path string")
+        if not isinstance(env["target"], str):
+            raise ConfigError("'environment.target' must be a path string")
         path = Path(env["target"])
         if not path.is_absolute():
             path = base_dir / path
@@ -164,73 +182,17 @@ def _parse_environment(env: Any, base_dir: Path) -> tuple[tuple[float, ...] | No
 
 def parse_config(raw: Any, base_dir: Path | str = ".") -> ExperimentConfig:
     """Validate a raw config mapping; unknown keys are rejected."""
-    _require(isinstance(raw, dict), "config must be a JSON object")
-    unknown = set(raw) - _CONFIG_KEYS
-    _require(not unknown, f"unknown config keys: {sorted(unknown)}")
-    for key in ("environment", "schedulers", "trials", "steps"):
-        _require(key in raw, f"missing required config key: {key!r}")
-
-    arms, target = _parse_environment(raw["environment"], Path(base_dir))
-
-    schedulers = raw["schedulers"]
-    _require(
-        isinstance(schedulers, list) and schedulers and all(isinstance(s, str) for s in schedulers),
-        "'schedulers' must be a non-empty list of scheduler names",
-    )
-    for name in schedulers:
-        _require(
-            name in SCHEDULER_NAMES,
-            f"unknown scheduler {name!r}; expected one of {', '.join(SCHEDULER_NAMES)}",
-        )
-    _require(len(set(schedulers)) == len(schedulers), "'schedulers' must not repeat names")
-
-    trials = raw["trials"]
-    steps = raw["steps"]
-    _require(_is_int(trials) and trials >= 1, "'trials' must be an integer >= 1")
-    _require(_is_int(steps) and steps >= 1, "'steps' must be an integer >= 1")
-
-    base_seed = raw.get("base_seed", 0)
-    _require(_is_int(base_seed) and base_seed >= 0, "'base_seed' must be an integer >= 0")
-
-    output_dir = raw.get("output_dir", "results")
-    _require(isinstance(output_dir, str) and output_dir, "'output_dir' must be a path string")
-
-    interval = raw.get("sampling_interval", 100)
-    # the coverage timeline takes int64 steps modulo the interval
-    _require(
-        _is_int(interval) and 1 <= interval < 2**63,
-        "'sampling_interval' must be an integer in [1, 2**63)",
-    )
-
-    policy = raw.get("interesting_policy", "new-feature")
-    _require(
-        policy in INTERESTING_POLICIES,
-        f"'interesting_policy' must be one of {INTERESTING_POLICIES}",
-    )
-
-    return ExperimentConfig(
-        arms=arms,
-        target=target,
-        schedulers=tuple(schedulers),
-        trials=trials,
-        steps=steps,
-        base_seed=base_seed,
-        output_dir=output_dir,
-        sampling_interval=interval,
-        interesting_policy=policy,
-    )
+    required = [key for key in _CONFIG_FIELDS if key not in _CONFIG_DEFAULTS]
+    _check_fields(raw, _CONFIG_FIELDS, required, "config")
+    fields = {**_CONFIG_DEFAULTS, **raw}
+    arms, target = _parse_environment(fields.pop("environment"), Path(base_dir))
+    fields["schedulers"] = tuple(fields["schedulers"])
+    return ExperimentConfig(arms=arms, target=target, **fields)
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
     """Load and validate an experiment config file."""
-    path = Path(path)
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file is not valid JSON: {exc}") from exc
-    return parse_config(raw, path.parent)
+    return parse_config(_read_json(path, "config"), Path(path).parent)
 
 
 # ----------------------------------------------------------------------
@@ -380,8 +342,6 @@ def _summarize(
 
 
 def _format_cell(value: Any) -> str:
-    if isinstance(value, bool):
-        return str(int(value))
     if isinstance(value, float):
         return repr(value)
     return str(value)
@@ -462,14 +422,8 @@ def run_experiment(
         snapshot_path = out_dir / f"snapshot-step{snapshot_at}.json"
         payload = {
             "config": {
-                "environment": config.env_payload(),
-                "schedulers": list(config.schedulers),
-                "trials": config.trials,
-                "steps": config.steps,
-                "base_seed": config.base_seed,
-                "output_dir": config.output_dir,
-                "sampling_interval": config.sampling_interval,
-                "interesting_policy": config.interesting_policy,
+                key: config.env_payload() if key == "environment" else getattr(config, key)
+                for key in _CONFIG_FIELDS
             },
             "snapshot_step": snapshot_at,
             "runners": states,
@@ -498,10 +452,9 @@ def write_snapshot(path: str | Path, payload: dict[str, Any]) -> None:
 def read_snapshot(path: str | Path) -> dict[str, Any]:
     try:
         body = json.loads(Path(path).read_text(encoding="ascii"))
-    except OSError as exc:
-        raise SnapshotError(f"cannot read snapshot: {exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise SnapshotError(f"snapshot is not valid JSON: {exc}") from exc
+    # as for a config file, with ASCII in place of UTF-8
+    except (OSError, ValueError, RecursionError) as exc:
+        raise SnapshotError(f"cannot load snapshot: {exc}") from exc
     if not isinstance(body, dict) or set(body) != {"version", "checksum", "payload"}:
         raise SnapshotError("snapshot file has an unexpected layout")
     if body["version"] != SNAPSHOT_VERSION:

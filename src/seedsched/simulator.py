@@ -183,15 +183,37 @@ class CfgTarget:
         return cls(tuple(edges))
 
 
+def _read_json(path: str | Path, what: str) -> Any:
+    """Decode the JSON file at ``path``; ``what`` names the file in errors."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    # ValueError: a NUL in the path, not UTF-8, not JSON, or an integer past
+    # Python's digit limit; RecursionError: nested past the recursion limit
+    except (OSError, ValueError, RecursionError) as exc:
+        raise ConfigError(f"cannot load {what} file: {exc}") from exc
+
+
 def load_target(path: str | Path) -> CfgTarget:
     """Load a target description from JSON: a list of edge objects."""
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ConfigError(f"cannot read target file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"target file is not valid JSON: {exc}") from exc
-    return parse_edges(raw)
+    return parse_edges(_read_json(path, "target"))
+
+
+def _check_fields(obj: Any, fields: dict, required, where: str) -> None:
+    """Check a decoded JSON object against ``fields`` (key -> (value check,
+    what the value must be)): every ``required`` key is present, every key
+    is in the table, and every value passes its key's check."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    unknown = obj.keys() - fields.keys()
+    if unknown:
+        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
+    missing = [key for key in required if key not in obj]
+    if missing:
+        raise ConfigError(f"{where}: missing keys {missing}")
+    for key, value in obj.items():
+        check, what = fields[key]
+        if not check(value):
+            raise ConfigError(f"{where}: {key!r} must be {what}, got {value!r}")
 
 
 def _is_pair(value: Any, is_item) -> bool:
@@ -219,18 +241,7 @@ def parse_edges(raw: Any) -> CfgTarget:
         raise ConfigError("the target must be a JSON list of edges")
     edges = []
     for i, item in enumerate(raw):
-        if not isinstance(item, dict):
-            raise ConfigError(f"edge #{i} must be a JSON object")
-        unknown = set(item) - _EDGE_FIELDS.keys()
-        if unknown:
-            raise ConfigError(f"edge #{i}: unknown keys {sorted(unknown)}")
-        missing = {"id", "p"} - set(item)
-        if missing:
-            raise ConfigError(f"edge #{i}: missing keys {sorted(missing)}")
-        for key, value in item.items():
-            check, what = _EDGE_FIELDS[key]
-            if not check(value):
-                raise ConfigError(f"edge #{i}: {key!r} must be {what}, got {value!r}")
+        _check_fields(item, _EDGE_FIELDS, ("id", "p"), f"edge #{i}")
         edges.append(
             Edge(
                 id=item["id"],
@@ -490,8 +501,7 @@ class FuzzCampaignRunner(_TrialRunner):
         sched = self.scheduler
         next_id, observe = sched.next, sched.observe
         corpus = sched.corpus
-        coverage = sched.global_coverage
-        covered = coverage.covered
+        covered = sched.global_coverage.covered
         append = self.rows.append
         for step in range(self.step + 1, stop + 1):
             parent = corpus[next_id()]
@@ -501,12 +511,14 @@ class FuzzCampaignRunner(_TrialRunner):
                 # one uniform per candidate, in id order, drawn in one call
                 draws = self.env_rng.random(len(live)).tolist()
                 unlocked = [e for e, u in zip(live, draws) if u < e.p]
-            if unlocked:
+            # the parent's features are covered and unlocked edges are not,
+            # so a step is interesting exactly when it unlocks an edge
+            interesting = bool(unlocked)
+            if interesting:
                 features = parent.features | {e.id for e in unlocked}
                 rec = self._synth(features, unlocked[0], "input")
             else:
                 rec = parent
-            interesting = classify_interesting(coverage, rec.features)
             observe(rec, interesting)
             self.step = step
             append(

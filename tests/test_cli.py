@@ -1,9 +1,14 @@
 """Command line behavior: subcommands, exit codes, output files."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import seedsched
 from seedsched.cli import main
 
 
@@ -41,6 +46,29 @@ def test_simulate_single_step_trial(tmp_path, capsys):
 def test_simulate_missing_config_exits_2(tmp_path, capsys):
     assert main(["simulate", "--config", str(tmp_path / "nope.json")]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "body",
+    [b'{"trials": \xff}', b'{"trials": ' + b"1" * 5000 + b"}", b"[" * 100_000],
+    ids=["not-utf8", "int-beyond-digit-limit", "nested-too-deep"],
+)
+@pytest.mark.parametrize("where", ["config", "target"])
+def test_simulate_undecodable_file_exits_2(tmp_path, capsys, where, body):
+    # each raised a ValueError or RecursionError, which exited 3 as a
+    # runtime failure
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(body)
+    cfg = bad if where == "config" else _write_config(tmp_path, environment={"target": str(bad)})
+    assert main(["simulate", "--config", str(cfg)]) == 2
+    assert f"config error: cannot load {where} file" in capsys.readouterr().err
+
+
+def test_simulate_target_path_with_a_nul_exits_2(tmp_path, capsys):
+    # open() raised ValueError, which exited 3 as a runtime failure
+    cfg = _write_config(tmp_path, environment={"target": "target\u0000.json"})
+    assert main(["simulate", "--config", str(cfg)]) == 2
+    assert "config error: cannot load target file" in capsys.readouterr().err
 
 
 def test_simulate_unknown_scheduler_names_it(tmp_path, capsys):
@@ -360,3 +388,32 @@ def test_resume_rejected_last_runner_exits_3_and_writes_nothing(tmp_path, capsys
     assert main(["resume", "--snapshot", str(snap), "--jobs", jobs]) == 3
     assert "cursor" in capsys.readouterr().err
     assert not list((tmp_path / "out").glob("*-resumed.csv"))
+
+
+@pytest.mark.parametrize(
+    "environment",
+    [
+        {"arms": [0.4, 0.9]},
+        {"edges": [{"id": 0, "p": 1.0}, {"id": 1, "prereqs": [0], "p": 0.3}]},
+    ],
+    ids=["arms", "dag"],
+)
+def test_snapshot_bytes_do_not_depend_on_the_hash_seed(tmp_path, environment):
+    # the snapshot's config copy walks the config table in order; a copy
+    # built through a set would order its keys by the process's string hash
+    cfg = _write_config(tmp_path, environment=environment, steps=20)
+    src = str(Path(seedsched.__file__).resolve().parents[1])
+    snapshots = []
+    for hash_seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src}
+        argv = ["simulate", "--config", str(cfg), "--snapshot-at", "5"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "seedsched.cli", *argv],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        snapshots.append((tmp_path / "out" / "snapshot-step5.json").read_bytes())
+    assert snapshots[0] == snapshots[1]

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -156,6 +157,53 @@ class TestParseConfig:
     def test_bad_policy(self):
         with pytest.raises(ConfigError):
             parse_config(_base_config(".", interesting_policy="everything"))
+
+    # one bad value per config key, each of the right JSON shape where it can
+    # be, so that only the key's own check rejects it
+    BAD_VALUES = {
+        "environment": "arms",
+        "schedulers": "sample",
+        "trials": 0,
+        "steps": 1.5,
+        "base_seed": -1,
+        "output_dir": "",
+        "sampling_interval": True,
+        "interesting_policy": "everything",
+    }
+
+    def test_every_config_key_has_a_bad_value_case(self):
+        assert list(self.BAD_VALUES) == list(experiment._CONFIG_FIELDS)
+
+    @pytest.mark.parametrize("key,value", BAD_VALUES.items(), ids=list(BAD_VALUES))
+    def test_bad_value_error_names_the_key_and_shows_the_value(self, key, value):
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(_base_config(".", **{key: value}))
+        message = str(excinfo.value)
+        assert re.fullmatch(rf"config: '{key}' must be .+, got {re.escape(repr(value))}", message)
+
+    def test_bad_edge_value_error_has_the_config_shape(self):
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(_base_config(".", environment={"edges": [{"id": 0, "p": "0.5"}]}))
+        message = str(excinfo.value)
+        assert re.fullmatch(r"edge #0: 'p' must be .+, got '0\.5'", message)
+
+    def test_unknown_scheduler_error_names_it_and_asks_for_no_repeats(self):
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(_base_config(".", schedulers=["sample", "warp-drive"]))
+        assert "warp-drive" in str(excinfo.value) and "repeat" in str(excinfo.value)
+
+    def test_missing_keys_are_named_in_table_order(self):
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config({"environment": {"arms": [0.5]}})
+        assert str(excinfo.value) == "config: missing keys ['schedulers', 'trials', 'steps']"
+
+    def test_snapshot_config_copy_holds_the_table_keys_in_order(self, tmp_path):
+        for environment in ({"arms": [0.5]}, {"edges": [{"id": 0, "p": 0.5}]}):
+            out = tmp_path / next(iter(environment))
+            cfg = parse_config(_base_config(out, environment=environment))
+            payload = read_snapshot(run_experiment(cfg, snapshot_at=20).snapshot_path)
+            assert list(payload["config"]) == list(experiment._CONFIG_FIELDS)
+            assert parse_config(payload["config"]) == cfg
 
     def test_target_path_resolves_relative_to_config(self, tmp_path):
         target = [{"id": 0, "p": 1.0}, {"id": 1, "prereqs": [0], "p": 0.5}]
@@ -779,3 +827,9 @@ class TestSnapshotResume:
         bad.write_text(json.dumps({"something": 1}))
         with pytest.raises(SnapshotError):
             read_snapshot(bad)
+        # not ASCII, an integer past Python's digit limit (ValueError once),
+        # nesting past the recursion limit (RecursionError once)
+        for body in (b'{"version": \xff}', b"[" + b"1" * 5000 + b"]", b"[" * 100_000):
+            bad.write_bytes(body)
+            with pytest.raises(SnapshotError, match="cannot load snapshot"):
+                read_snapshot(bad)

@@ -92,7 +92,8 @@ def test_dag_trial_reaches_every_layer(calls):
     assert calls == {
         "BernoulliTrialRunner.run_to": 0,
         "FuzzCampaignRunner.run_to": 1,
-        "simulator.classify_interesting": steps + 2,
+        # the two seed inputs; a step's interestingness is whether it unlocks
+        "simulator.classify_interesting": 2,
         "Scheduler.next": steps,
         "Scheduler.observe": steps + 2,
         "schedulers.absorb": inputs,
