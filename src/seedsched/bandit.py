@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from operator import add, mul
 
 import numpy as np
 
@@ -109,7 +110,7 @@ def update_posterior(
     """Conjugate update for one executed input: alpha_k += 1 at each covered
     id if it was interesting, else beta_k += 1.  The ids are checked before
     anything changes."""
-    _check_ids(state.k_size, covered)
+    _check_ids(len(state.alpha), covered)
     side = state.alpha if interesting else state.beta
     n = len(covered)
     if n >= _INDEXED_UPDATE_MIN:
@@ -163,18 +164,19 @@ def select_action(
     if not isinstance(table, FavoredTable):
         raise TypeError(f"select_action takes a FavoredTable, not {type(table).__name__}")
     selectable = selectable_features(table)
-    n = selectable.shape[0]
+    n = len(selectable)
     if not n:
         raise EmptyCorpusError("no selectable feature; seed the corpus first")
-    k = state.k_size
+    alpha, beta = state.alpha, state.beta
+    k = len(alpha)
     if table.k_size != k:
         raise DimensionMismatch(f"the table has {table.k_size} features, the posterior {k}")
-    alpha, beta = state.alpha, state.beta
     if n < k:
         # unselectable features could never win, so draw none for them
         alpha, beta = alpha[selectable], beta[selectable]
-    if (2 * n if variant is Variant.SAMPLE else n) <= _SCALAR_BETA_MAX:
-        scores = _short_scores(variant, alpha.tolist(), beta.tolist(), rng)
+    short_scores, short_max = _SHORT_SCORERS[variant]
+    if n <= short_max:
+        scores = short_scores(alpha.tolist(), beta.tolist(), rng)
         best = scores.index(max(scores))
     else:
         best = int(_scores(variant, alpha, beta, rng).argmax())
@@ -204,19 +206,35 @@ def _scores(
     return draws[:n] * draws[n:]
 
 
-def _short_scores(
-    variant: Variant, alpha: list[float], beta: list[float], rng: SeededRng
-) -> list[float]:
-    """:func:`_scores` on lists: each float operation is the one numpy
-    applies per element, in the same order, so the scores are equal."""
-    if variant is Variant.GREEDY:
-        return [a / (a + b) for a, b in zip(alpha, beta)]
-    if variant is Variant.RARE_MINUS:
-        return rng.beta(alpha, beta)
-    total = [a + b for a, b in zip(alpha, beta)]
-    if variant is Variant.RARE_PLUS:
-        theta = rng.beta(alpha, beta)
-        return [t / (a * a + t) * d for a, t, d in zip(alpha, total, theta)]
-    draws = rng.beta(alpha + total, beta + [a * a for a in alpha])
+# The short forms of :func:`_scores`, on lists: each float operation is the
+# one numpy applies per element, in the same order, so the scores are equal.
+
+
+def _greedy_short(alpha: list[float], beta: list[float], rng: SeededRng) -> list[float]:
+    return [a / (a + b) for a, b in zip(alpha, beta)]
+
+
+def _rare_minus_short(alpha: list[float], beta: list[float], rng: SeededRng) -> list[float]:
+    return rng.beta(alpha, beta)
+
+
+def _rare_plus_short(alpha: list[float], beta: list[float], rng: SeededRng) -> list[float]:
+    theta = rng.beta(alpha, beta)
+    return [t / (a * a + t) * d for a, t, d in zip(alpha, map(add, alpha, beta), theta)]
+
+
+def _sample_short(alpha: list[float], beta: list[float], rng: SeededRng) -> list[float]:
+    # theta ~ Beta(alpha, beta) and psi ~ Beta(alpha + beta, alpha**2) in one draw
     n = len(alpha)
-    return [t * p for t, p in zip(draws[:n], draws[n:])]
+    draws = rng.beta(alpha + list(map(add, alpha, beta)), beta + [a * a for a in alpha])
+    return list(map(mul, draws[:n], draws[n:]))
+
+
+# variant -> (short scorer, most selectable features it scores): up to
+# _SCALAR_BETA_MAX shape pairs, and ``sample`` draws two pairs per feature
+_SHORT_SCORERS = {
+    Variant.RARE_MINUS: (_rare_minus_short, _SCALAR_BETA_MAX),
+    Variant.RARE_PLUS: (_rare_plus_short, _SCALAR_BETA_MAX),
+    Variant.SAMPLE: (_sample_short, _SCALAR_BETA_MAX // 2),
+    Variant.GREEDY: (_greedy_short, _SCALAR_BETA_MAX),
+}

@@ -183,7 +183,7 @@ def _parse_environment(env: dict, base_dir: Path) -> tuple[tuple[float, ...] | N
 def parse_config(raw: Any, base_dir: Path | str = ".") -> ExperimentConfig:
     """Validate a raw config mapping; unknown keys are rejected."""
     required = [key for key in _CONFIG_FIELDS if key not in _CONFIG_DEFAULTS]
-    _check_fields(raw, _CONFIG_FIELDS, required, "config")
+    _check_fields(raw, _CONFIG_FIELDS, required)
     fields = {**_CONFIG_DEFAULTS, **raw}
     arms, target = _parse_environment(fields.pop("environment"), Path(base_dir))
     fields["schedulers"] = tuple(fields["schedulers"])

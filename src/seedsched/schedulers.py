@@ -153,9 +153,7 @@ class Scheduler:
     # -- scheduling ----------------------------------------------------
 
     def next(self) -> str:
-        input_id, action, ops = self._choose()
-        self.last_action = action
-        self.last_select_ops = ops
+        input_id, self.last_action, self.last_select_ops = self._choose()
         return input_id
 
     def _choose(self) -> tuple[str, int, int]:
@@ -248,8 +246,9 @@ class TScheduler(Scheduler):
         update_favored(self.favored, record)
 
     def _choose(self) -> tuple[str, int, int]:
-        action = bandit.select_action(self.posterior, self.variant, self.favored, self.rng)
-        return self.favored.input_for(action), action, self._select_ops
+        favored = self.favored
+        action = bandit.select_action(self.posterior, self.variant, favored, self.rng)
+        return favored.entries[action][0], action, self._select_ops
 
     def state_dict(self) -> dict[str, Any]:
         state = super().state_dict()

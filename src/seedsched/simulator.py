@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 from pathlib import Path
 from typing import Any
 
@@ -198,22 +199,24 @@ def load_target(path: str | Path) -> CfgTarget:
     return parse_edges(_read_json(path, "target"))
 
 
-def _check_fields(obj: Any, fields: dict, required, where: str) -> None:
+def _check_fields(obj: Any, fields: dict, required, where: str = "") -> None:
     """Check a decoded JSON object against ``fields`` (key -> (value check,
     what the value must be)): every ``required`` key is present, every key
-    is in the table, and every value passes its key's check."""
+    is in the table, and every value passes its key's check.  Messages
+    start with ``where``, such as ``"edge #3: "``; the config passes none,
+    since the CLI and ``resume`` name it where they report the error."""
     if not isinstance(obj, dict):
-        raise ConfigError(f"{where} must be a JSON object")
+        raise ConfigError(f"{where}expected a JSON object, got {type(obj).__name__}")
     unknown = obj.keys() - fields.keys()
     if unknown:
-        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
+        raise ConfigError(f"{where}unknown keys {sorted(unknown)}")
     missing = [key for key in required if key not in obj]
     if missing:
-        raise ConfigError(f"{where}: missing keys {missing}")
+        raise ConfigError(f"{where}missing keys {missing}")
     for key, value in obj.items():
         check, what = fields[key]
         if not check(value):
-            raise ConfigError(f"{where}: {key!r} must be {what}, got {value!r}")
+            raise ConfigError(f"{where}{key!r} must be {what}, got {value!r}")
 
 
 def _is_pair(value: Any, is_item) -> bool:
@@ -241,7 +244,7 @@ def parse_edges(raw: Any) -> CfgTarget:
         raise ConfigError("the target must be a JSON list of edges")
     edges = []
     for i, item in enumerate(raw):
-        _check_fields(item, _EDGE_FIELDS, ("id", "p"), f"edge #{i}")
+        _check_fields(item, _EDGE_FIELDS, ("id", "p"), f"edge #{i}: ")
         edges.append(
             Edge(
                 id=item["id"],
@@ -476,10 +479,12 @@ class FuzzCampaignRunner(_TrialRunner):
     def _unlockable(self, features: frozenset[int]) -> list[Edge]:
         """Uncovered edges whose prerequisites lie in ``features``, in id order.
 
-        Only roots and children of a feature in the set can qualify, so the
-        list is built from those once per feature set and kept.  Edges
-        covered since are pruned from it on each later use; coverage only
-        grows within a run, so the kept list never misses an edge.
+        Each input's list is kept, and edges covered since are pruned from
+        it on each later use; coverage only grows within a run, so a kept
+        list never misses an edge.  A child's list is made with the child
+        (see :meth:`_run`); a seed input's, or one first used after a
+        resume, is built here from the roots and the children of every
+        feature in the set, since only those can qualify.
         """
         covered = self.scheduler.global_coverage.covered
         cands = self._candidates.get(features)
@@ -496,6 +501,27 @@ class FuzzCampaignRunner(_TrialRunner):
             live = [e for e in cands if e.id not in covered]
         self._candidates[features] = live
         return live
+
+    def _child_candidates(
+        self, live: list[Edge], unlocked: list[Edge], features: frozenset[int]
+    ) -> list[Edge]:
+        """The unlockable list of a child with ``features``, made when a
+        parent whose list was ``live`` unlocked ``unlocked``: the parent's
+        edges left locked, plus the children of the unlocked edges whose
+        prerequisites all lie in ``features``, in id order.  Any other edge
+        the child could unlock would need a prerequisite the parent lacked,
+        an unlocked edge.  An edge with two unlocked prerequisites is
+        listed once."""
+        target = self.target
+        children = target.children
+        # of the parent's uncovered edges, the child holds the unlocked ones
+        kept = [e for e in live if e.id not in features]
+        kids = {c for e in unlocked for c in children[e.id]}
+        added = [e for e in map(target.edges.__getitem__, kids) if e.prereqs <= features]
+        if added:
+            kept += added
+            kept.sort(key=attrgetter("id"))
+        return kept
 
     def _run(self, stop: int) -> None:
         sched = self.scheduler
@@ -517,6 +543,7 @@ class FuzzCampaignRunner(_TrialRunner):
             if interesting:
                 features = parent.features | {e.id for e in unlocked}
                 rec = self._synth(features, unlocked[0], "input")
+                self._candidates[features] = self._child_candidates(live, unlocked, features)
             else:
                 rec = parent
             observe(rec, interesting)

@@ -21,6 +21,7 @@ from seedsched import (
     update_posterior,
 )
 from seedsched import bandit
+from seedsched.rng import _SCALAR_BETA_MAX
 
 
 class FakeRng:
@@ -319,9 +320,18 @@ class TestSelectAction:
         alpha, beta, theta, psi = (np.array(c) for c in zip(*shapes))
         draws = np.concatenate([theta, psi]) if variant == "sample" else theta
         v = Variant(variant)
-        short = bandit._short_scores(v, alpha.tolist(), beta.tolist(), FakeRng([draws]))
+        short_scores, _ = bandit._SHORT_SCORERS[v]
+        short = short_scores(alpha.tolist(), beta.tolist(), FakeRng([draws]))
         full = bandit._scores(v, alpha, beta, FakeRng([draws]))
         assert short == full.tolist()
+
+    def test_one_short_scorer_per_variant(self):
+        assert list(bandit._SHORT_SCORERS) == list(Variant)
+        # a short scorer takes only as many features as its shape pairs
+        # fit under the scalar cut-off
+        for variant, (_, most) in bandit._SHORT_SCORERS.items():
+            pairs = 2 if variant is Variant.SAMPLE else 1
+            assert pairs * most <= _SCALAR_BETA_MAX < pairs * (most + 1)
 
     @pytest.mark.parametrize(
         "table,error",

@@ -71,6 +71,24 @@ def test_simulate_target_path_with_a_nul_exits_2(tmp_path, capsys):
     assert "config error: cannot load target file" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "overrides,line",
+    [
+        ({"steps": 0}, "config error: 'steps' must be an integer >= 1, got 0"),
+        (
+            {"environment": {"edges": [{"id": 0, "p": "0.5"}]}},
+            "config error: edge #0: 'p' must be a finite number, got '0.5'",
+        ),
+    ],
+    ids=["config-value", "edge-value"],
+)
+def test_simulate_bad_value_names_its_location_once(tmp_path, capsys, overrides, line):
+    # the config's own messages carry no location word: "config error: "
+    # names the config, and an edge's message names the edge
+    assert main(["simulate", "--config", str(_write_config(tmp_path, **overrides))]) == 2
+    assert capsys.readouterr().err == line + "\n"
+
+
 def test_simulate_unknown_scheduler_names_it(tmp_path, capsys):
     cfg = _write_config(tmp_path, schedulers=["warp-drive"])
     assert main(["simulate", "--config", str(cfg)]) == 2
@@ -148,7 +166,10 @@ def test_resume_invalid_embedded_config_exits_3(tmp_path, capsys):
     write_snapshot(snap, payload)  # the checksum still matches
     capsys.readouterr()
     assert main(["resume", "--snapshot", str(snap)]) == 3
-    assert "invalid config" in capsys.readouterr().err
+    # the location is named once
+    assert capsys.readouterr().err == (
+        "error: snapshot holds an invalid config: 'trials' must be an integer >= 1, got 'x'\n"
+    )
     assert not list((tmp_path / "out").glob("*-resumed.csv"))
 
 

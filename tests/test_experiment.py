@@ -179,7 +179,7 @@ class TestParseConfig:
         with pytest.raises(ConfigError) as excinfo:
             parse_config(_base_config(".", **{key: value}))
         message = str(excinfo.value)
-        assert re.fullmatch(rf"config: '{key}' must be .+, got {re.escape(repr(value))}", message)
+        assert re.fullmatch(rf"'{key}' must be .+, got {re.escape(repr(value))}", message)
 
     def test_bad_edge_value_error_has_the_config_shape(self):
         with pytest.raises(ConfigError) as excinfo:
@@ -195,7 +195,7 @@ class TestParseConfig:
     def test_missing_keys_are_named_in_table_order(self):
         with pytest.raises(ConfigError) as excinfo:
             parse_config({"environment": {"arms": [0.5]}})
-        assert str(excinfo.value) == "config: missing keys ['schedulers', 'trials', 'steps']"
+        assert str(excinfo.value) == "missing keys ['schedulers', 'trials', 'steps']"
 
     def test_snapshot_config_copy_holds_the_table_keys_in_order(self, tmp_path):
         for environment in ({"arms": [0.5]}, {"edges": [{"id": 0, "p": 0.5}]}):

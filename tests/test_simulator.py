@@ -402,17 +402,8 @@ class TestFuzzRunner:
         assert ((covered > 0) == log.interesting).all()
         assert 0 < log.interesting.sum() < 300
 
-    @settings(max_examples=60, deadline=None)
-    @given(
-        target=dags(),
-        name=st.sampled_from(["sample", "greedy", "uniform"]),
-        steps=st.integers(1, 60),
-        seed=st.integers(0, 2**16),
-    )
-    def test_matches_full_edge_scan(self, target, name, steps, seed):
-        k = target.k_size
-        fast = FuzzCampaignRunner(target, make_scheduler(name, k, seed), steps, seed)
-        slow = FullScanRunner(target, make_scheduler(name, k, seed), steps, seed)
+    @staticmethod
+    def _assert_same_run(fast, slow):
         fast.run_to()
         slow.run_to()
         a, b = fast.take_log(), slow.take_log()
@@ -424,7 +415,44 @@ class TestFuzzRunner:
         assert fast.scheduler.insertion_order == slow.scheduler.insertion_order
         assert fast.env_rng.state_dict() == slow.env_rng.state_dict()
         # the oracle's own scan drove every step
-        assert slow.scans == steps
+        assert slow.scans == slow.steps
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        target=dags(),
+        name=st.sampled_from(SCHEDULER_NAMES),
+        steps=st.integers(1, 200),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_full_edge_scan(self, target, name, steps, seed):
+        # long runs make deep lineages, whose unlockable lists are built
+        # from their parents' lists
+        k = target.k_size
+        fast = FuzzCampaignRunner(target, make_scheduler(name, k, seed), steps, seed)
+        slow = FullScanRunner(target, make_scheduler(name, k, seed), steps, seed)
+        self._assert_same_run(fast, slow)
+
+    @pytest.mark.parametrize("name", SCHEDULER_NAMES)
+    def test_matches_full_edge_scan_when_two_prerequisites_unlock_together(self, name):
+        # step 1 unlocks edges 1 and 2 from the seed input; edge 3 needs
+        # both, so the child's list holds it once and a step draws one
+        # uniform for it, as the full scan does
+        target = CfgTarget(
+            (
+                Edge(0, frozenset(), 1.0),
+                Edge(1, frozenset({0}), 1.0),
+                Edge(2, frozenset({0}), 1.0),
+                Edge(3, frozenset({1, 2}), 0.5),
+                Edge(4, frozenset({3}), 0.5),
+            )
+        )
+        fast = FuzzCampaignRunner(target, make_scheduler(name, 5, 3), 40, 3)
+        fast.run_to(1)
+        child = fast.scheduler.corpus["input1"]
+        assert child.features == {0, 1, 2}
+        assert fast._candidates[child.features] == [target.edges[3]]
+        slow = FullScanRunner(target, make_scheduler(name, 5, 3), 40, 3)
+        self._assert_same_run(fast, slow)
 
     def test_same_seed_reproduces(self):
         target = CfgTarget.chain(8, 0.2)

@@ -9,11 +9,16 @@ as often as its steps and inputs say.
 """
 
 import functools
+import importlib.util
+from pathlib import Path
 
 import pytest
 
-from seedsched import bandit, rng, schedulers, simulator
+import seedsched
+from seedsched import bandit, cli, experiment, rng, schedulers, simulator
 from seedsched.simulator import BernoulliArmsEnv, CfgTarget, Edge
+
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 # (owner, attribute): the points perfbench/spans.py::trace_points wraps
 # below the experiment layer
@@ -29,6 +34,20 @@ POINTS = [
     (bandit, "update_posterior"),
     (rng.SeededRng, "beta"),
 ]
+
+
+def test_points_are_the_benchmarks():
+    # loaded from its file, so that the benchmark's directory is not put on
+    # the import path
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    wrapped = [
+        (owner, attr)
+        for owner, attr, *_ in spans.trace_points(seedsched)
+        if owner not in (cli, experiment)
+    ]
+    assert wrapped == POINTS
 
 
 @pytest.fixture
