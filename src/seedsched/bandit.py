@@ -81,12 +81,12 @@ class PosteriorState:
             raise DimensionMismatch("alpha and beta must be 1-D vectors of equal length")
         if self.alpha.size == 0:
             raise ValueError("feature space must hold at least one feature")
-        if np.any(self.alpha < 1.0) or np.any(self.beta < 1.0):
-            raise ValueError("posterior parameters start at 1 and never drop below it")
-
-    @property
-    def k_size(self) -> int:
-        return int(self.alpha.size)
+        # minimum passes a NaN on, so a NaN fails the first test
+        for side in (self.alpha, self.beta):
+            if not (np.minimum.reduce(side) >= 1.0 and np.maximum.reduce(side) < np.inf):
+                raise ValueError(
+                    "posterior parameters are finite, start at 1 and never drop below it"
+                )
 
     def copy(self) -> "PosteriorState":
         return PosteriorState(self.alpha.copy(), self.beta.copy())

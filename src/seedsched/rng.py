@@ -9,7 +9,7 @@ schedulers need, where the second shape can reach ~1e12.
 
 from __future__ import annotations
 
-from math import isnan
+from math import inf
 from typing import Any
 
 import numpy as np
@@ -24,6 +24,16 @@ __all__ = ["SeededRng"]
 # the two cost the same at 10-14 pairs (2-core x86-64 host, Python 3.11,
 # numpy 2.4).  ``bandit.select_action`` passes draws this short as lists.
 _SCALAR_BETA_MAX = 8
+
+
+def _check_shapes(a, b) -> None:
+    """Raise unless every shape in ``a`` and ``b`` is positive and finite.
+    ``minimum`` passes a NaN on, so the least shape and the greatest tell
+    all three faults; one array of both costs less than two of each, and
+    an empty one holds no bad shape (a reduction over nothing raises)."""
+    shapes = np.concatenate((a, b), axis=None)
+    if shapes.size and not (np.minimum.reduce(shapes) > 0.0 and np.maximum.reduce(shapes) < inf):
+        raise ValueError("beta shape parameters must be positive and finite")
 
 
 class SeededRng:
@@ -66,8 +76,9 @@ class SeededRng:
 
         Shapes broadcast; a scalar pair without ``size`` gives a float, and
         ``size`` expands a scalar pair to that many independent draws.
-        numpy rejects zero and negative shapes but returns NaN for a NaN
-        shape, so positivity is checked here.  Two non-empty lists of at most
+        numpy rejects zero and negative shapes but returns NaN for a NaN or
+        an infinite shape, so shapes are checked here to be positive and
+        finite, before anything is drawn.  Two non-empty lists of at most
         ``_SCALAR_BETA_MAX`` floats are drawn pair by pair and give a list of
         floats, with no array made on the way; other shapes give an array.
         """
@@ -80,19 +91,17 @@ class SeededRng:
             and type(a[0]) is float
             and type(b[0]) is float
         ):
-            # a NaN fails no comparison inside min but makes the sum NaN
-            if not (min(a) > 0.0 and min(b) > 0.0) or isnan(sum(a) + sum(b)):
-                raise ValueError("beta shape parameters must be positive")
+            # a NaN fails no comparison inside min, but it makes the sum
+            # NaN, and an inf makes it inf; finite shapes can also sum past
+            # the float range, so a failed test is checked shape by shape
+            if not (min(a) > 0.0 and min(b) > 0.0 and sum(a, sum(b)) < inf):
+                _check_shapes(a, b)
             return list(map(self._gen.beta, a, b))
         a_arr = np.asarray(a, dtype=np.float64)
         b_arr = np.asarray(b, dtype=np.float64)
         if size is not None and (a_arr.ndim or b_arr.ndim):
             raise ValueError("size is only valid with scalar shapes")
-        if (
-            np.count_nonzero(a_arr > 0.0) != a_arr.size
-            or np.count_nonzero(b_arr > 0.0) != b_arr.size
-        ):
-            raise ValueError("beta shape parameters must be positive")
+        _check_shapes(a_arr, b_arr)
         return self._gen.beta(a_arr, b_arr, size)
 
     # ------------------------------------------------------------------

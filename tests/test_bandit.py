@@ -71,7 +71,7 @@ def _scores(variant, alpha, beta, draws):
 
 def test_init_posterior_is_uniform():
     state = init_posterior(5)
-    assert state.k_size == 5
+    assert len(state.alpha) == 5
     assert (state.alpha == 1.0).all()
     assert (state.beta == 1.0).all()
 
@@ -89,6 +89,19 @@ def test_posterior_state_validation():
         PosteriorState(np.ones((2, 2)), np.ones((2, 2)))
     with pytest.raises(ValueError):
         PosteriorState(np.array([1.0, 0.5]), np.ones(2))
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+@pytest.mark.parametrize("pos", [0, -1])
+def test_posterior_state_rejects_non_finite_parameters(bad, pos):
+    # an inf shape would make every draw for it NaN, and the argmax over
+    # NaN scores would pick feature 0
+    values = np.ones(3)
+    values[pos] = bad
+    with pytest.raises(ValueError, match="finite"):
+        PosteriorState(values, np.ones(3))
+    with pytest.raises(ValueError, match="finite"):
+        PosteriorState(np.ones(3), values)
 
 
 def test_update_posterior_conjugate_steps():

@@ -23,6 +23,7 @@ from seedsched import experiment
 from seedsched.experiment import (
     SUMMARY_COLUMNS,
     TRIAL_LOG_COLUMNS,
+    WRITE_BLOCK_ROWS,
     open_trial_csv,
     read_snapshot,
     resume_experiment,
@@ -257,9 +258,16 @@ def _row_by_row_csv(path, log):
 
 
 @pytest.mark.parametrize("scheduler", ["rare-plus", 'a "quoted", 100% name'])
-@pytest.mark.parametrize("n", [0, 1, 7, 2500])
+@pytest.mark.parametrize(
+    "n", [0, 1, 7, WRITE_BLOCK_ROWS - 1, WRITE_BLOCK_ROWS, WRITE_BLOCK_ROWS + 1, 2500]
+)
 def test_trial_csv_matches_a_row_by_row_writer(tmp_path, n, scheduler):
-    regrets = [0.1, 1e-17, 0.0, 0.19999999999999996, 1.0, 2.5e-300, 0.30000000000000004]
+    # -0.0 beside 0.0, the non-finite values and the smallest subnormal,
+    # each formatted as repr formats it; lengths either side of a block
+    regrets = [
+        0.1, 1e-17, 0.0, 0.19999999999999996, 1.0, 2.5e-300, 0.30000000000000004,
+        -0.0, float("nan"), float("inf"), float("-inf"), 5e-324,
+    ]
     rng = np.random.default_rng(n)
     log = TrialLog(
         scheduler=scheduler,

@@ -135,6 +135,49 @@ class TestBeta:
         with pytest.raises(ValueError, match="positive"):
             SeededRng(0).beta(np.array([1.0, 2.0]), np.array([3.0, np.nan]))
 
+    def test_infinite_parameters_rejected(self):
+        # numpy's Generator.beta returns NaN for an infinite shape too
+        rng = SeededRng(0)
+        before = rng.state_dict()
+        for a, b in (
+            (np.inf, 1.0),
+            (1.0, np.inf),
+            ([np.inf, 2.0], [1.0, 3.0]),
+            (np.full(5, np.inf), np.full(5, np.inf)),
+            (np.full(300, np.inf), np.full(300, np.inf)),
+        ):
+            with pytest.raises(ValueError, match="finite"):
+                rng.beta(a, b)
+        with pytest.raises(ValueError, match="finite"):
+            rng.beta(np.inf, 1.0, size=3)
+        assert rng.state_dict() == before
+
+    @pytest.mark.parametrize("as_list", [False, True], ids=["array", "list"])
+    @pytest.mark.parametrize("pos", [0, -1])
+    @pytest.mark.parametrize("n", [1, 3, 8, 9, 300])
+    def test_rejects_an_infinite_shape_first_or_last(self, n, pos, as_list):
+        # short lists and short and long arrays; the generator is untouched
+        rng = SeededRng(0)
+        before = rng.state_dict()
+        a = np.full(n, 2.0)
+        b = np.full(n, 3.0)
+        b[pos] = np.inf
+        if as_list:
+            a, b = a.tolist(), b.tolist()
+        with pytest.raises(ValueError, match="finite"):
+            rng.beta(a, b)
+        with pytest.raises(ValueError, match="finite"):
+            rng.beta(b, a)
+        assert rng.state_dict() == before
+
+    def test_short_lists_whose_sums_pass_the_float_range_are_drawn(self):
+        # each shape is finite, so the draws are numpy's
+        a, b = [1e308, 1e308], [2.0, 1e308]
+        ref = np.random.Generator(np.random.PCG64(np.random.SeedSequence([0, 0])))
+        got = SeededRng(0).beta(a, b)
+        assert type(got) is list
+        assert got == ref.beta(a, b).tolist()
+
     @pytest.mark.parametrize("seed,stream", [(0, 0), (123, 1), (2**31, 0)])
     def test_delegates_to_numpy_generator(self, seed, stream):
         ref = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, stream])))

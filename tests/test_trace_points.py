@@ -10,6 +10,7 @@ as often as its steps and inputs say.
 
 import functools
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -121,3 +122,47 @@ def test_dag_trial_reaches_every_layer(calls):
         "bandit.update_posterior": steps + 2,
         "SeededRng.beta": steps,
     }
+
+
+def test_each_chunk_stop_takes_and_writes_one_log(tmp_path, monkeypatch):
+    # perfbench times the CSV layer as experiment.write_trial_csv, looked up
+    # in the module's globals; a streamed trial takes its log and writes it
+    # at every CHUNK_STEPS step, at the snapshot step and at its end
+    chunk = experiment.CHUNK_STEPS
+    steps, snapshot_at = 2 * chunk + 5, chunk + 7
+    taken, written = [], []
+    take_log = simulator.BernoulliTrialRunner.take_log
+    write_trial_csv = experiment.write_trial_csv
+
+    def counted_take_log(self, *args, **kwargs):
+        log = take_log(self, *args, **kwargs)
+        taken.append(int(log.steps[-1]))
+        return log
+
+    def counted_write(fh, log):
+        written.append(int(log.steps[-1]))
+        write_trial_csv(fh, log)
+
+    monkeypatch.setattr(simulator.BernoulliTrialRunner, "take_log", counted_take_log)
+    monkeypatch.setattr(experiment, "write_trial_csv", counted_write)
+    config = tmp_path / "config.json"
+    config.write_text(
+        json.dumps(
+            {
+                "environment": {"arms": [0.7, 0.8, 0.9]},
+                "schedulers": ["sample"],
+                "trials": 1,
+                "steps": steps,
+                "output_dir": str(tmp_path / "out"),
+            }
+        )
+    )
+    argv = ["simulate", "--config", str(config), "--snapshot-at", str(snapshot_at)]
+    assert cli.main(argv) == 0
+    stops = [chunk, snapshot_at, 2 * chunk, steps]
+    assert taken == written == stops
+    snapshot = tmp_path / "out" / f"snapshot-step{snapshot_at}.json"
+    taken.clear()
+    written.clear()
+    assert cli.main(["resume", "--snapshot", str(snapshot)]) == 0
+    assert taken == written == stops[2:]
