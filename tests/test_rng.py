@@ -152,24 +152,6 @@ class TestBeta:
             rng.beta(np.inf, 1.0, size=3)
         assert rng.state_dict() == before
 
-    @pytest.mark.parametrize("as_list", [False, True], ids=["array", "list"])
-    @pytest.mark.parametrize("pos", [0, -1])
-    @pytest.mark.parametrize("n", [1, 3, 8, 9, 300])
-    def test_rejects_an_infinite_shape_first_or_last(self, n, pos, as_list):
-        # short lists and short and long arrays; the generator is untouched
-        rng = SeededRng(0)
-        before = rng.state_dict()
-        a = np.full(n, 2.0)
-        b = np.full(n, 3.0)
-        b[pos] = np.inf
-        if as_list:
-            a, b = a.tolist(), b.tolist()
-        with pytest.raises(ValueError, match="finite"):
-            rng.beta(a, b)
-        with pytest.raises(ValueError, match="finite"):
-            rng.beta(b, a)
-        assert rng.state_dict() == before
-
     def test_short_lists_whose_sums_pass_the_float_range_are_drawn(self):
         # each shape is finite, so the draws are numpy's
         a, b = [1e308, 1e308], [2.0, 1e308]
@@ -230,10 +212,11 @@ class TestBeta:
 
     @pytest.mark.parametrize("as_list", [False, True], ids=["array", "list"])
     @pytest.mark.parametrize("pos", [0, -1])
-    @pytest.mark.parametrize("bad", [np.nan, 0.0, -1.0])
-    @pytest.mark.parametrize("n", [1, 3, 8])
+    @pytest.mark.parametrize("bad", [np.nan, 0.0, -1.0, np.inf])
+    @pytest.mark.parametrize("n", [1, 3, 8, 9, 300])
     def test_short_path_rejects_nonpositive_and_nan(self, n, bad, pos, as_list):
-        # a NaN ahead of a valid shape and one behind it are both caught
+        # a NaN or an inf ahead of a valid shape and one behind it are both
+        # caught, on short lists and on short and long arrays
         rng = SeededRng(0)
         before = rng.state_dict()
         a = np.ones(n)
