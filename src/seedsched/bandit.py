@@ -193,16 +193,11 @@ def _scores(
         return rng.beta(alpha, beta)
     if variant is Variant.RARE_PLUS:
         return _phi(alpha, beta) * rng.beta(alpha, beta)
-    # theta ~ Beta(alpha, beta) and psi ~ Beta(alpha + beta, alpha**2)
-    # come from one draw; a = (alpha, alpha + beta) and
-    # b = (beta, alpha**2) are views into one buffer, written in place.
+    # theta ~ Beta(alpha, beta) and psi ~ Beta(alpha + beta, alpha**2) in one draw
     n = alpha.size
-    ab = np.empty((4, n))
-    ab[0] = alpha
-    np.add(alpha, beta, out=ab[1])
-    ab[2] = beta
-    np.multiply(alpha, alpha, out=ab[3])
-    draws = rng.beta(ab[:2].ravel(), ab[2:].ravel())
+    draws = rng.beta(
+        np.concatenate((alpha, alpha + beta)), np.concatenate((beta, alpha * alpha))
+    )
     return draws[:n] * draws[n:]
 
 

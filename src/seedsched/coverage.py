@@ -18,8 +18,8 @@ incumbent).  A table starts empty and grows only through
 :func:`update_favored`, which checks a record's ids before any entry
 changes.  Features with a favored entry form the selectable set the
 schedulers draw from.  The table keeps it as a sorted, read-only ``np.intp``
-array of ids, into which :func:`update_favored` merges the ids it gains, and
-:func:`selectable_features` returns that array without a sort or a copy.
+array of ids, replaced by a new one on each gain, so an array taken earlier
+keeps its ids; :func:`selectable_features` returns it without a sort or copy.
 Collectively the favored inputs are a weighted set cover of everything the
 corpus covers.
 """
@@ -108,23 +108,14 @@ class FavoredTable:
     entries: dict[int, tuple[str, float]] = field(default_factory=dict, init=False)
 
     def __post_init__(self) -> None:
-        # the sorted ids are the first len(entries) slots of a K-long buffer,
-        # into which update_favored sorts the ids it gains.  A new, slightly
-        # longer array per gain would fragment the heap between the corpus's
-        # feature sets (0.7 MB more peak RSS on a 2000-edge tree).
-        self._buf = np.empty(self.k_size, dtype=np.intp)
-        self._publish(0)
-
-    def _publish(self, n: int) -> None:
-        ids = self._buf[:n]
-        ids.flags.writeable = False
-        self._ids = ids
+        self._ids = np.empty(0, dtype=np.intp)
+        self._ids.flags.writeable = False
 
     def __setstate__(self, state: dict) -> None:
-        # a pickled view arrives as a writeable copy of itself; view the
-        # buffer again (resume hands loaded runners to worker processes)
+        # a pickled or copied array arrives writeable (resume hands loaded
+        # runners to worker processes)
         vars(self).update(state)
-        self._publish(len(self.entries))
+        self._ids.flags.writeable = False
 
     def input_for(self, feature: int) -> str:
         return self.entries[feature][0]
@@ -181,12 +172,13 @@ def update_favored(table: FavoredTable, record: InputRecord) -> FavoredTable:
     # order, so the ids the table gained are its last keys
     gained = len(entries) - held
     if gained:
-        ids = table._buf[: held + gained]
-        ids[held:] = np.fromiter(islice(reversed(entries), gained), np.intp, gained)
+        new = np.fromiter(islice(reversed(entries), gained), np.intp, gained)
+        ids = np.concatenate((table._ids, new))
         # a stable sort merges the few gained ids into the sorted ones in
         # about linear time
         ids.sort(kind="stable")
-        table._publish(held + gained)
+        ids.flags.writeable = False
+        table._ids = ids
     return table
 
 

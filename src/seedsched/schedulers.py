@@ -322,22 +322,15 @@ class RoundRobinScheduler(Scheduler):
         return fields
 
 
-SCHEDULER_NAMES = (
-    "rare-minus",
-    "rare-plus",
-    "sample",
-    "greedy",
-    "uniform",
-    "round-robin",
-)
+_BASELINES = {cls.name: cls for cls in (UniformScheduler, RoundRobinScheduler)}
+
+SCHEDULER_NAMES = (*(v.value for v in Variant), *_BASELINES)
 
 
 def make_scheduler(name: str, k_size: int, seed: int) -> Scheduler:
     """Build a scheduler from its registry name."""
-    if name in {v.value for v in Variant}:
+    if name in _BASELINES:
+        return _BASELINES[name](k_size, seed)
+    if name in SCHEDULER_NAMES:
         return TScheduler(k_size, name, seed)
-    if name == "uniform":
-        return UniformScheduler(k_size, seed)
-    if name == "round-robin":
-        return RoundRobinScheduler(k_size, seed)
     raise ValueError(f"unknown scheduler {name!r}; expected one of {', '.join(SCHEDULER_NAMES)}")

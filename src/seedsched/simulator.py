@@ -378,12 +378,17 @@ class _TrialRunner:
         # a fresh generator, so a rejected rng state leaves self.env_rng alone
         env_rng = SeededRng(self.seed, stream=1)
         env_rng.load_state(state["env_rng"])
-        return {
-            "step": _state_int(state, "step", high=self.steps),
-            "env_rng": env_rng,
-            "scheduler": self.scheduler._loaded_fields(state["scheduler"]),
-            "rows": [],
-        }
+        step = _state_int(state, "step", high=self.steps)
+        scheduler = self.scheduler._loaded_fields(state["scheduler"])
+        posterior = scheduler.get("posterior")
+        # Beta(1, 1), one bootstrap observation, then at most one per step;
+        # tested as a difference, as finite shapes can sum past float range
+        _state_check(
+            posterior is None or (posterior.alpha <= step + 3 - posterior.beta).all(),
+            "posterior",
+            f"reachable by its step: alpha + beta <= step + 3 = {step + 3} for every feature",
+        )
+        return {"step": step, "env_rng": env_rng, "scheduler": scheduler, "rows": []}
 
 
 class BernoulliTrialRunner(_TrialRunner):
@@ -399,14 +404,16 @@ class BernoulliTrialRunner(_TrialRunner):
             raise ValueError("scheduler feature space must match the number of arms")
         self.env = env
         self._best = max(env.theta_star)
-        self._bootstrap()
+        for rec in self._arm_inputs():
+            self.scheduler.observe(rec, True)
 
-    def _bootstrap(self) -> None:
+    def _arm_inputs(self) -> list[InputRecord]:
         # one fixed-cost input per arm, so every arm is selectable at step 1;
         # a pull of arm k covers exactly feature k
-        for k in range(self.env.k_size):
-            rec = InputRecord(id=f"arm{k}", size=1, exec_time=1.0, features=frozenset({k}))
-            self.scheduler.observe(rec, True)
+        return [
+            InputRecord(id=f"arm{k}", size=1, exec_time=1.0, features=frozenset({k}))
+            for k in range(self.env.k_size)
+        ]
 
     def _run(self, stop: int) -> None:
         sched = self.scheduler
@@ -438,6 +445,16 @@ class BernoulliTrialRunner(_TrialRunner):
                         sched.last_update_ops,
                     )
                 )
+
+    def _loaded_fields(self, state: dict[str, Any]) -> dict[str, Any]:
+        fields = super()._loaded_fields(state)
+        # a step only re-observes the inputs the runner made
+        _state_check(
+            list(fields["scheduler"]["corpus"].values()) == self._arm_inputs(),
+            "corpus",
+            f"the runner's arm inputs arm0 to arm{self.env.k_size - 1}, in arm order",
+        )
+        return fields
 
 
 class FuzzCampaignRunner(_TrialRunner):

@@ -182,18 +182,34 @@ class TestFavored:
         update_favored(table, InputRecord("second", 5, 2.0, frozenset({0})))
         assert table.input_for(0) == "first"
 
+    def test_ids_taken_before_a_gain_keep_their_values(self):
+        # a gain replaces the table's array; one a caller holds is unchanged
+        table = FavoredTable(k_size=10)
+        update_favored(table, InputRecord("a", 1, 1.0, frozenset({3, 5})))
+        ids = selectable_features(table)
+        update_favored(table, InputRecord("b", 1, 1.0, frozenset({0, 9})))
+        assert ids.tolist() == [3, 5] and not ids.flags.writeable
+        assert selectable_features(table).tolist() == [0, 3, 5, 9]
+
+    def test_a_call_that_gains_nothing_keeps_the_same_ids(self):
+        table = FavoredTable(k_size=10)
+        update_favored(table, InputRecord("a", 5, 1.0, frozenset({3, 5})))
+        ids = selectable_features(table)
+        update_favored(table, InputRecord("b", 1, 1.0, frozenset({5})))
+        assert selectable_features(table) is ids and table.input_for(5) == "b"
+
     @pytest.mark.parametrize("clone", [pickle_copy, copy.deepcopy], ids=["pickle", "deepcopy"])
-    def test_a_copied_table_views_its_own_buffer(self, clone):
-        # resume sends loaded runners to worker processes by pickle; the
-        # copy's ids must stay a read-only view that later gains update
+    def test_a_copied_table_keeps_read_only_ids_of_its_own(self, clone):
+        # resume sends loaded runners to worker processes by pickle, and a
+        # copied array arrives writeable
         table = FavoredTable(k_size=10)
         update_favored(table, InputRecord("a", 1, 1.0, frozenset({3, 5})))
         twin = clone(table)
         ids = selectable_features(twin)
         assert ids.tolist() == [3, 5] and not ids.flags.writeable
-        assert ids.base is twin._buf
         update_favored(twin, InputRecord("b", 1, 1.0, frozenset({0, 9})))
         assert selectable_features(twin).tolist() == [0, 3, 5, 9]
+        assert ids.tolist() == [3, 5]
         assert selectable_features(table).tolist() == [3, 5]
 
     def test_out_of_range_feature_rejected(self):

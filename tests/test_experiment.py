@@ -665,6 +665,82 @@ class TestSnapshotResume:
             resume_experiment(result.snapshot_path, jobs=jobs)
         assert not list((tmp_path / "out").glob("*-resumed.csv"))
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda corpus: corpus[0].__setitem__("features", [0, 1]),
+            lambda corpus: corpus[0].__setitem__("features", []),
+            lambda corpus: corpus.pop(),
+            lambda corpus: corpus.append(dict(corpus[0], id="arm3")),
+            lambda corpus: corpus.reverse(),
+            lambda corpus: corpus[1].__setitem__("exec_time", 2.0),
+        ],
+        ids=["two-arms", "no-arm", "arm-dropped", "arm-added", "reordered", "other-cost"],
+    )
+    def test_an_arms_corpus_other_than_the_arm_inputs_resumes_nothing(
+        self, tmp_path, jobs, change
+    ):
+        # an arms step only re-observes the K inputs the runner made, one per
+        # arm in arm order, so no other corpus can come from a run
+        cfg = parse_config(
+            _base_config(
+                tmp_path / "out",
+                environment={"arms": [0.7, 0.8, 0.9]},
+                schedulers=["uniform", "sample"],
+            )
+        )
+        result = run_experiment(cfg, snapshot_at=20)
+        payload = read_snapshot(result.snapshot_path)
+        change(payload["runners"][-1]["state"]["scheduler"]["corpus"])
+        write_snapshot(result.snapshot_path, payload)
+        with pytest.raises(SnapshotError, match="corpus"):
+            resume_experiment(result.snapshot_path, jobs=jobs)
+        assert not list((tmp_path / "out").glob("*-resumed.csv"))
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize(
+        "key,value", [("alpha", 1e200), ("beta", 1e200), ("alpha", 23.0)]
+    )
+    def test_a_posterior_no_run_reaches_resumes_nothing(self, tmp_path, jobs, key, value):
+        # Beta(1, 1), one bootstrap observation, then at most one per step:
+        # alpha + beta never exceeds step + 3.  Loaded, 1e200 would overflow
+        # alpha**2 partway through the resume.
+        cfg = parse_config(
+            _base_config(
+                tmp_path / "out",
+                environment={"arms": [0.7, 0.8, 0.9]},
+                schedulers=["uniform", "sample"],
+            )
+        )
+        result = run_experiment(cfg, snapshot_at=20)
+        payload = read_snapshot(result.snapshot_path)
+        state = payload["runners"][-1]["state"]
+        assert state["step"] == 20
+        state["scheduler"][key][0] = value
+        state["scheduler"]["beta" if key == "alpha" else "alpha"][0] = 1.0
+        write_snapshot(result.snapshot_path, payload)
+        with pytest.raises(SnapshotError, match="step"):
+            resume_experiment(result.snapshot_path, jobs=jobs)
+        assert not list((tmp_path / "out").glob("*-resumed.csv"))
+
+    def test_a_posterior_at_its_bound_resumes(self, tmp_path):
+        cfg = parse_config(
+            _base_config(
+                tmp_path / "out",
+                environment={"arms": [0.7, 0.8, 0.9]},
+                schedulers=["sample"],
+                trials=1,
+            )
+        )
+        result = run_experiment(cfg, snapshot_at=20)
+        payload = read_snapshot(result.snapshot_path)
+        sched = payload["runners"][0]["state"]["scheduler"]
+        sched["alpha"][0], sched["beta"][0] = 22.0, 1.0
+        write_snapshot(result.snapshot_path, payload)
+        resume_experiment(result.snapshot_path)
+        assert len(list((tmp_path / "out").glob("*-resumed.csv"))) == 1
+
     def test_a_subset_of_the_runners_resumes(self, tmp_path):
         cfg = parse_config(_base_config(tmp_path / "out", steps=20))
         result = run_experiment(cfg, snapshot_at=10)

@@ -37,7 +37,10 @@ def test_registry_builds_every_name():
 
 
 def test_registry_rejects_unknown_name():
-    with pytest.raises(ValueError, match="nonsense"):
+    expected = "rare-minus, rare-plus, sample, greedy, uniform, round-robin"
+    assert ", ".join(SCHEDULER_NAMES) == expected
+    message = f"unknown scheduler 'nonsense'; expected one of {expected}$"
+    with pytest.raises(ValueError, match=message):
         make_scheduler("nonsense", 4, 0)
 
 
