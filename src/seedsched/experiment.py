@@ -14,7 +14,6 @@ import csv
 import hashlib
 import io
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
@@ -297,9 +296,13 @@ def _run_task(args: tuple) -> tuple[str, int, TrialSummary, dict | None]:
 def _map_tasks(fn, tasks: list[tuple], jobs: int) -> list:
     """``fn`` over ``tasks`` in order, in up to ``jobs`` worker processes
     but no more than there are tasks; in this process when that is one.
-    (Under ``fork`` the pool starts all its workers at the first submit.)"""
+    (Under ``fork`` the pool starts all its workers at the first submit.)
+    The pool is imported here, so a run that starts no worker never loads
+    ``multiprocessing``."""
     workers = min(jobs, len(tasks))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, tasks))
     return [fn(t) for t in tasks]

@@ -101,6 +101,20 @@ class SeededRng:
         b_arr = np.asarray(b, dtype=np.float64)
         if size is not None and (a_arr.ndim or b_arr.ndim):
             raise ValueError("size is only valid with scalar shapes")
+        if a_arr.ndim == 1 and a_arr.shape == b_arr.shape:
+            # a NaN or an inf makes the dot NaN or infinite; finite shapes
+            # can also overflow it, so a failed test is checked in full.
+            # numpy rejects a shape <= 0 before it draws, and the full
+            # check then gives this module's message
+            with np.errstate(over="ignore", invalid="ignore"):
+                dot = a_arr.dot(b_arr)
+            if not -inf < dot < inf:
+                _check_shapes(a_arr, b_arr)
+            try:
+                return self._gen.beta(a_arr, b_arr)
+            except ValueError:
+                _check_shapes(a_arr, b_arr)
+                raise
         _check_shapes(a_arr, b_arr)
         return self._gen.beta(a_arr, b_arr, size)
 

@@ -438,3 +438,30 @@ def test_snapshot_bytes_do_not_depend_on_the_hash_seed(tmp_path, environment):
         assert proc.returncode == 0, proc.stderr
         snapshots.append((tmp_path / "out" / "snapshot-step5.json").read_bytes())
     assert snapshots[0] == snapshots[1]
+
+
+_POOL_PROBE = """
+import sys
+import seedsched, seedsched.cli
+# kept at module level: a first snapshot otherwise loads OpenSSL mid-run
+print("hashlib" in sys.modules)
+assert seedsched.cli.main(["simulate", "--config", sys.argv[1], "--jobs", "1"]) == 0
+print(sorted(m for m in sys.modules if m.split(".")[0] in ("concurrent", "multiprocessing")))
+"""
+
+
+def test_a_one_job_run_loads_no_process_pool(tmp_path):
+    # the pool is imported only when a run starts workers, so a fresh
+    # interpreter running one job never loads multiprocessing
+    cfg = _write_config(tmp_path, schedulers=["sample", "uniform"], trials=2, steps=20)
+    src = str(Path(seedsched.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", _POOL_PROBE, str(cfg)],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert (lines[0], lines[-1]) == ("True", "[]")

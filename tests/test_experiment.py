@@ -1,5 +1,6 @@
 """Experiment config parsing, batch runs, CSV output, snapshot/resume."""
 
+import concurrent.futures
 import csv
 import json
 import re
@@ -408,7 +409,9 @@ class TestWorkerPool:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordingPool)
+        # ``_map_tasks`` imports the pool when it starts workers, so the
+        # fake goes where that import reads it
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         return built
 
     def test_simulate_starts_a_worker_per_task_at_most(self, tmp_path, pools):

@@ -1,6 +1,7 @@
 """Beta variate generation: determinism, delegation, moments, edge shapes."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -229,6 +230,37 @@ class TestBeta:
         with pytest.raises(ValueError, match="positive"):
             rng.beta(b, a)
         assert rng.state_dict() == before
+
+    @pytest.mark.parametrize("pos", [0, 4, -1])
+    @pytest.mark.parametrize("bad", [0.0, -0.0, -1.0, np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("n", [9, 145])
+    def test_equal_length_arrays_reject_with_one_message(self, n, bad, pos):
+        # the array path's dot test and numpy's own positivity check both
+        # end in the full check, so every bad shape gives its message
+        rng = SeededRng(0)
+        before = rng.state_dict()
+        a = np.linspace(1.0, 3.0, n)
+        b = np.linspace(2.0, 1e6, n)
+        for side in (0, 1):
+            shapes = [a.copy(), b.copy()]
+            shapes[side][pos] = bad
+            with pytest.raises(ValueError) as excinfo:
+                rng.beta(*shapes)
+            assert str(excinfo.value) == "beta shape parameters must be positive and finite"
+        assert rng.state_dict() == before
+
+    @pytest.mark.parametrize("n", [9, 145])
+    def test_shapes_whose_dot_overflows_are_drawn(self, n):
+        # 1e200 shapes are finite; their dot overflows without a warning
+        a = np.full(n, 1e200)
+        b = np.linspace(1e200, 1e300, n)
+        ref = np.random.Generator(np.random.PCG64(np.random.SeedSequence([n, 0])))
+        rng = SeededRng(n, 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = rng.beta(a, b)
+        assert np.array_equal(got, ref.beta(a, b))
+        assert rng.state_dict() == ref.bit_generator.state
 
     def test_empty_shape_arrays(self):
         out = SeededRng(0).beta(np.array([]), np.array([]))
