@@ -50,8 +50,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     config = load_config(args.config)
-    if args.jobs < 1:
-        raise ConfigError("--jobs must be >= 1")
     result = run_experiment(config, jobs=args.jobs, snapshot_at=args.snapshot_at)
     print(f"wrote {len(result.trials)} trial logs to {result.output_dir}")
     print(f"wrote {result.output_dir / 'summary.csv'}")
@@ -80,8 +78,6 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
 
 def _cmd_resume(args: argparse.Namespace) -> int:
-    if args.jobs < 1:
-        raise ConfigError("--jobs must be >= 1")
     result = resume_experiment(args.snapshot, jobs=args.jobs)
     print(f"resumed {len(result.trials)} trials; suffix logs in {result.output_dir}")
     return 0
@@ -96,6 +92,9 @@ def main(argv: list[str] | None = None) -> int:
         "resume": _cmd_resume,
     }
     try:
+        # `replay-fig2` has no --jobs
+        if getattr(args, "jobs", 1) < 1:
+            raise ConfigError("--jobs must be >= 1")
         return handlers[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

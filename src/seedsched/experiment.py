@@ -258,23 +258,21 @@ class _SummaryFold:
         return TrialSummary(self.covered, regret, timeline, area)
 
 
-def _stream_trial(
-    config: ExperimentConfig,
-    name: str,
-    trial: int,
-    runner,
-    resumed: bool = False,
-    snapshot_at: int | None = None,
-) -> tuple[TrialSummary, dict | None]:
-    """Run ``runner`` to its end in chunks, appending each chunk's rows to
-    the trial's CSV; returns the trial's summary and, with ``snapshot_at``,
-    the runner's state at that step."""
+def _run_task(args: tuple) -> tuple[str, int, TrialSummary, dict | None]:
+    """Run one trial to its end in chunks, appending each chunk's rows to
+    its CSV; returns the trial's summary and, with ``snapshot_at``, the
+    runner's state at that step.  With no ``runner`` the trial starts from
+    the config and writes its trial CSV; a loaded runner continues into
+    the ``-resumed`` CSV."""
+    config, name, trial, runner, snapshot_at = args
+    path = Path(config.output_dir) / trial_csv_name(name, trial, runner is not None)
+    if runner is None:
+        runner = _build_runner(config, name, trial)
     stops = {*range(CHUNK_STEPS, runner.steps, CHUNK_STEPS), runner.steps}
     if snapshot_at is not None:
         stops.add(snapshot_at)
     fold = _SummaryFold(config, runner)
     state = None
-    path = Path(config.output_dir) / trial_csv_name(name, trial, resumed)
     with open_trial_csv(path) as fh:
         for stop in sorted(s for s in stops if s > runner.step):
             runner.run_to(stop)
@@ -283,29 +281,22 @@ def _stream_trial(
             log = runner.take_log(trial)
             write_trial_csv(fh, log)
             fold.add(log)
-    return fold.summary(), state
+    return name, trial, fold.summary(), state
 
 
-def _run_task(args: tuple) -> tuple[str, int, TrialSummary, dict | None]:
-    config, name, trial, snapshot_at = args
-    runner = _build_runner(config, name, trial)
-    summary, state = _stream_trial(config, name, trial, runner, snapshot_at=snapshot_at)
-    return name, trial, summary, state
-
-
-def _map_tasks(fn, tasks: list[tuple], jobs: int) -> list:
-    """``fn`` over ``tasks`` in order, in up to ``jobs`` worker processes
-    but no more than there are tasks; in this process when that is one.
-    (Under ``fork`` the pool starts all its workers at the first submit.)
-    The pool is imported here, so a run that starts no worker never loads
-    ``multiprocessing``."""
+def _map_tasks(tasks: list[tuple], jobs: int) -> list:
+    """:func:`_run_task` over ``tasks`` in order, in up to ``jobs`` worker
+    processes but no more than there are tasks; in this process when that
+    is one.  (Under ``fork`` the pool starts all its workers at the first
+    submit.)  The pool is imported here, so a run that starts no worker
+    never loads ``multiprocessing``."""
     workers = min(jobs, len(tasks))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, tasks))
-    return [fn(t) for t in tasks]
+            return list(pool.map(_run_task, tasks))
+    return [_run_task(t) for t in tasks]
 
 
 @dataclass
@@ -422,13 +413,13 @@ def run_experiment(
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     tasks = [
-        (config, name, trial, snapshot_at)
+        (config, name, trial, None, snapshot_at)
         for name in config.schedulers
         for trial in range(config.trials)
     ]
     trials: dict[tuple[str, int], TrialSummary] = {}
     states = []
-    for name, trial, summary, state in _map_tasks(_run_task, tasks, jobs):
+    for name, trial, summary, state in _map_tasks(tasks, jobs):
         trials[(name, trial)] = summary
         if state is not None:
             states.append({"scheduler": name, "trial": trial, "state": state})
@@ -486,10 +477,23 @@ def read_snapshot(path: str | Path) -> dict[str, Any]:
     return body["payload"]
 
 
-def _check_entries(config: ExperimentConfig, entries: list) -> None:
-    """Each runner entry names a configured scheduler and a trial in
-    [0, trials), and no (scheduler, trial) pair appears twice."""
-    seen = set()
+def resume_experiment(snapshot_path: str | Path, jobs: int = 1) -> ExperimentResult:
+    """Resume a snapshotted campaign; writes suffix logs for each trial.
+    Every runner is loaded before any trial resumes, so a snapshot
+    rejected at any entry writes no log."""
+    payload = read_snapshot(snapshot_path)
+    try:
+        raw_config, entries = payload["config"], list(payload["runners"])
+    except (KeyError, TypeError) as exc:
+        raise SnapshotError(
+            f"snapshot payload is malformed ({type(exc).__name__}: {exc})"
+        ) from exc
+    try:
+        config = parse_config(raw_config, Path(snapshot_path).parent)
+    except ConfigError as exc:
+        raise SnapshotError(f"snapshot holds an invalid config: {exc}") from exc
+    # one pass, entry by entry, so the first faulty entry is the one reported
+    runners = {}
     for entry in entries:
         try:
             name, trial = entry["scheduler"], entry["trial"]
@@ -506,53 +510,19 @@ def _check_entries(config: ExperimentConfig, entries: list) -> None:
             raise SnapshotError(
                 f"snapshot runner trial {trial!r} must be an integer in [0, {config.trials})"
             )
-        if (name, trial) in seen:
+        if (name, trial) in runners:
             raise SnapshotError(f"snapshot holds runner ({name}, trial {trial}) twice")
-        seen.add((name, trial))
-
-
-def _loaded_runner(config: ExperimentConfig, entry: dict[str, Any]):
-    try:
-        runner = _build_runner(config, entry["scheduler"], entry["trial"])
-        runner.load_state(entry["state"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SnapshotError(
-            f"snapshot holds a malformed runner state ({type(exc).__name__}: {exc})"
-        ) from exc
-    return runner
-
-
-def _resume_task(args: tuple) -> tuple[str, int, TrialSummary, None]:
-    config, name, trial, runner = args
-    summary, _ = _stream_trial(config, name, trial, runner, resumed=True)
-    return name, trial, summary, None
-
-
-def resume_experiment(snapshot_path: str | Path, jobs: int = 1) -> ExperimentResult:
-    """Resume a snapshotted campaign; writes suffix logs for each trial.
-    Every runner is loaded before any trial resumes, so a snapshot
-    rejected at any entry writes no log."""
-    payload = read_snapshot(snapshot_path)
-    try:
-        raw_config, entries = payload["config"], list(payload["runners"])
-    except (KeyError, TypeError) as exc:
-        raise SnapshotError(
-            f"snapshot payload is malformed ({type(exc).__name__}: {exc})"
-        ) from exc
-    try:
-        config = parse_config(raw_config, Path(snapshot_path).parent)
-    except ConfigError as exc:
-        raise SnapshotError(f"snapshot holds an invalid config: {exc}") from exc
-    _check_entries(config, entries)
-    tasks = [
-        (config, entry["scheduler"], entry["trial"], _loaded_runner(config, entry))
-        for entry in entries
-    ]
+        try:
+            runner = _build_runner(config, name, trial)
+            runner.load_state(entry["state"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise SnapshotError(
+                f"snapshot holds a malformed runner state ({type(exc).__name__}: {exc})"
+            ) from exc
+        runners[(name, trial)] = runner
 
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    trials = {
-        (name, trial): summary
-        for name, trial, summary, _ in _map_tasks(_resume_task, tasks, jobs)
-    }
+    tasks = [(config, name, trial, runner, None) for (name, trial), runner in runners.items()]
+    trials = {(name, trial): summary for name, trial, summary, _ in _map_tasks(tasks, jobs)}
     return ExperimentResult(config, trials, [], out_dir, None)

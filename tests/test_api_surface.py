@@ -7,7 +7,10 @@ section.  Dunder names such as ``__version__`` are exempt.  In reverse,
 every call that section shows inline (`` `name(...)` ``) must name an
 attribute of ``seedsched`` or a method of an exported class, so the entry
 of a deleted export cannot linger, and each of its ``python`` code blocks
-must run, so a removed parameter cannot linger in an example.
+must run, so a removed parameter cannot linger in an example.  Within the
+package, every private name (a module-level function, class or assignment,
+or a method) must be loaded somewhere in it too, so a helper that lost its
+last caller cannot linger.
 """
 
 import ast
@@ -30,6 +33,34 @@ def _loads_in_package() -> Counter:
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 loads[node.attr] += 1
     return loads
+
+
+def _private_definitions() -> dict[str, str]:
+    """Every private, non-dunder name the package defines at module level
+    or as a method, keyed by ``module:name`` or ``module:Class.method``."""
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                names = [node.target.id]
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            else:
+                names = []
+            found.update((f"{path.stem}:{name}", name) for name in names)
+            if isinstance(node, ast.ClassDef):
+                found.update(
+                    (f"{path.stem}:{node.name}.{m.name}", m.name)
+                    for m in node.body
+                    if isinstance(m, ast.FunctionDef)
+                )
+    return {
+        label: name
+        for label, name in found.items()
+        if name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+    }
 
 
 def _library_use_section() -> str:
@@ -71,3 +102,11 @@ def test_every_example_in_the_readme_section_runs(capsys):
     for i, code in enumerate(examples):
         exec(compile(code, f"README 'Library use' example {i}", "exec"), {})
     capsys.readouterr()
+
+
+def test_every_private_name_is_loaded_in_the_package():
+    defined = _private_definitions()
+    assert {"experiment:_run_task", "simulator:_TrialRunner._run"} <= set(defined)
+    loads = _loads_in_package()
+    orphans = [label for label, name in defined.items() if not loads[name]]
+    assert not orphans, f"private names nothing in the package loads: {orphans}"

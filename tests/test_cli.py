@@ -98,7 +98,18 @@ def test_simulate_unknown_scheduler_names_it(tmp_path, capsys):
 def test_simulate_rejects_bad_jobs(tmp_path, capsys):
     cfg = _write_config(tmp_path)
     assert main(["simulate", "--config", str(cfg), "--jobs", "0"]) == 2
+    assert capsys.readouterr().err == "config error: --jobs must be >= 1\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_resume_rejects_bad_jobs(tmp_path, capsys):
+    cfg = _write_config(tmp_path, steps=20)
+    assert main(["simulate", "--config", str(cfg), "--snapshot-at", "5"]) == 0
     capsys.readouterr()
+    snap = tmp_path / "out" / "snapshot-step5.json"
+    assert main(["resume", "--snapshot", str(snap), "--jobs", "0"]) == 2
+    assert capsys.readouterr().err == "config error: --jobs must be >= 1\n"
+    assert not list((tmp_path / "out").glob("*-resumed.csv"))
 
 
 def test_simulate_bad_snapshot_step_exits_2(tmp_path, capsys):

@@ -32,7 +32,7 @@ from seedsched.experiment import (
     write_snapshot,
     write_trial_csv,
 )
-from seedsched.simulator import TrialLog
+from seedsched.simulator import TrialLog, _TrialRunner
 
 
 def _base_config(out_dir, **overrides):
@@ -665,6 +665,44 @@ class TestSnapshotResume:
         payload["runners"][-1]["state"]["env_rng"]["state"]["state"] = -1
         write_snapshot(result.snapshot_path, payload)
         with pytest.raises(SnapshotError, match="rng state"):
+            resume_experiment(result.snapshot_path, jobs=jobs)
+        assert not list((tmp_path / "out").glob("*-resumed.csv"))
+
+    def test_each_runner_is_built_and_loaded_once(self, tmp_path, monkeypatch):
+        # a resume checks an entry and loads its runner in one pass; a
+        # second load per runner would cost every resume a second state check
+        built, loaded = [], []
+        build, load = experiment._build_runner, _TrialRunner.load_state
+
+        def counting_build(config, name, trial):
+            built.append((name, trial))
+            return build(config, name, trial)
+
+        def counting_load(runner, state):
+            loaded.append(runner.scheduler.name)
+            return load(runner, state)
+
+        monkeypatch.setattr(experiment, "_build_runner", counting_build)
+        monkeypatch.setattr(_TrialRunner, "load_state", counting_load)
+        pairs = [("sample", 0), ("sample", 1), ("uniform", 0), ("uniform", 1)]
+        result = run_experiment(parse_config(_base_config(tmp_path / "out")), snapshot_at=20)
+        assert (built, loaded) == (pairs, [])
+        del built[:]
+        resume_experiment(result.snapshot_path, jobs=1)
+        assert built == pairs
+        assert loaded == [name for name, _ in pairs]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_the_first_faulty_entry_is_reported(self, tmp_path, jobs):
+        # each entry is checked and loaded before the next is read, so a bad
+        # state in entry 0 is reported before a repeated pair in entry 1
+        cfg = parse_config(_base_config(tmp_path / "out", steps=20))
+        result = run_experiment(cfg, snapshot_at=10)
+        payload = read_snapshot(result.snapshot_path)
+        payload["runners"][0]["state"]["env_rng"]["state"]["state"] = -1
+        payload["runners"][1]["trial"] = 0
+        write_snapshot(result.snapshot_path, payload)
+        with pytest.raises(SnapshotError, match="malformed runner state .*rng state"):
             resume_experiment(result.snapshot_path, jobs=jobs)
         assert not list((tmp_path / "out").glob("*-resumed.csv"))
 
