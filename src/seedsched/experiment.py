@@ -268,13 +268,13 @@ def _run_task(args: tuple) -> tuple[str, int, TrialSummary, dict | None]:
     path = Path(config.output_dir) / trial_csv_name(name, trial, runner is not None)
     if runner is None:
         runner = _build_runner(config, name, trial)
-    stops = {*range(CHUNK_STEPS, runner.steps, CHUNK_STEPS), runner.steps}
-    if snapshot_at is not None:
-        stops.add(snapshot_at)
     fold = _SummaryFold(config, runner)
     state = None
     with open_trial_csv(path) as fh:
-        for stop in sorted(s for s in stops if s > runner.step):
+        while runner.step < runner.steps:
+            stop = min((runner.step // CHUNK_STEPS + 1) * CHUNK_STEPS, runner.steps)
+            if snapshot_at is not None and runner.step < snapshot_at < stop:
+                stop = snapshot_at
             runner.run_to(stop)
             if stop == snapshot_at:
                 state = runner.state_dict()

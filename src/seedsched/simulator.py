@@ -25,6 +25,7 @@ a byte-identical continuation.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter
@@ -498,42 +499,33 @@ class FuzzCampaignRunner(_TrialRunner):
 
         Each input's list is kept, and edges covered since are pruned from
         it on each later use; coverage only grows within a run, so a kept
-        list never misses an edge.  A child's list is made with the child
-        (see :meth:`_run`); a seed input's, or one first used after a
-        resume, is built here from the roots and the children of every
-        feature in the set, since only those can qualify.
+        list never misses an edge.  A child's list is derived from its
+        parent's when the child is made (see :meth:`_run`); a seed input's,
+        or one first used after a resume, is derived here from the empty
+        input's list, the roots.
         """
         covered = self.scheduler.global_coverage.covered
         cands = self._candidates.get(features)
         if cands is None:
-            target = self.target
-            children = target.children
-            ids = {e.id for e in target.roots}.union(*[children[f] for f in features])
-            live = [
-                e
-                for e in map(target.edges.__getitem__, sorted(ids - covered))
-                if e.prereqs <= features
-            ]
-        else:
-            live = [e for e in cands if e.id not in covered]
+            cands = self._derived(self.target.roots, features, features)
+        live = [e for e in cands if e.id not in covered]
         self._candidates[features] = live
         return live
 
-    def _child_candidates(
-        self, live: list[Edge], unlocked: list[Edge], features: frozenset[int]
+    def _derived(
+        self, live: Iterable[Edge], gained: Iterable[int], features: frozenset[int]
     ) -> list[Edge]:
-        """The unlockable list of a child with ``features``, made when a
-        parent whose list was ``live`` unlocked ``unlocked``: the parent's
-        edges left locked, plus the children of the unlocked edges whose
-        prerequisites all lie in ``features``, in id order.  Any other edge
-        the child could unlock would need a prerequisite the parent lacked,
-        an unlocked edge.  An edge with two unlocked prerequisites is
-        listed once."""
+        """The unlockable list of an input with ``features``, derived from
+        the list ``live`` of an input that lacks only the ids ``gained``:
+        the edges of ``live`` outside ``features``, plus the children of
+        ``gained`` whose prerequisites all lie in ``features``, in id order.
+        Any other edge the larger input could unlock would need a
+        prerequisite the smaller one lacked, a gained id.  An edge with two
+        gained prerequisites is listed once."""
         target = self.target
         children = target.children
-        # of the parent's uncovered edges, the child holds the unlocked ones
         kept = [e for e in live if e.id not in features]
-        kids = {c for e in unlocked for c in children[e.id]}
+        kids = {c for f in gained for c in children[f]}
         added = [e for e in map(target.edges.__getitem__, kids) if e.prereqs <= features]
         if added:
             kept += added
@@ -558,9 +550,10 @@ class FuzzCampaignRunner(_TrialRunner):
             # so a step is interesting exactly when it unlocks an edge
             interesting = bool(unlocked)
             if interesting:
-                features = parent.features | {e.id for e in unlocked}
+                gained = {e.id for e in unlocked}
+                features = parent.features | gained
                 rec = self._synth(features, unlocked[0], "input")
-                self._candidates[features] = self._child_candidates(live, unlocked, features)
+                self._candidates[features] = self._derived(live, gained, features)
             else:
                 rec = parent
             observe(rec, interesting)

@@ -467,7 +467,7 @@ class TestRunnerSnapshots:
     @given(
         target=dags(),
         name=st.sampled_from(SCHEDULER_NAMES),
-        steps=st.integers(2, 60),
+        steps=st.integers(2, 200),
         data=st.data(),
     )
     def test_resume_at_a_random_step_gives_the_straight_suffix(

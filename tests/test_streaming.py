@@ -8,6 +8,7 @@ gives, written at once, and its timeline, final-window regret and area.
 
 import json
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from seedsched import (
 from seedsched.cli import main
 from seedsched.experiment import (
     CHUNK_STEPS,
+    _run_task,
     open_trial_csv,
     read_snapshot,
     trial_csv_name,
@@ -196,3 +198,29 @@ def test_memory_does_not_grow_with_the_steps_of_a_trial(tmp_path, capsys):
         tracemalloc.stop()
     capsys.readouterr()
     assert peak < 4 * 2**20, f"traced peak {peak / 2**20:.2f} MB"
+
+
+def test_a_task_finds_its_chunk_stops_as_it_runs(tmp_path):
+    # the stops of a trial were once all listed and sorted before its first
+    # step: 8.8 MB for these steps
+    class FirstStep(Exception):
+        pass
+
+    class Runner:
+        steps = CHUNK_STEPS * 10**5
+        step = 0
+        scheduler = SimpleNamespace(global_coverage=SimpleNamespace(covered=set()))
+
+        def run_to(self, until):
+            raise FirstStep
+
+    config = _config(tmp_path, "arms", 50, interval=7)
+    (tmp_path / "out").mkdir()
+    tracemalloc.start()
+    try:
+        with pytest.raises(FirstStep):
+            _run_task((config, "sample", 0, Runner(), None))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, f"traced peak {peak / 2**20:.2f} MB"
